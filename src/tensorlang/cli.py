@@ -52,7 +52,7 @@ def run_file(path, out=None, err=None):
         for _, value in interp.run_source(text):
             if value is not None:
                 print(format_value(value), file=out)
-    except (LangError, ZeroDivisionError) as e:
+    except LangError as e:
         print(f"error: {type(e).__name__}: {e}", file=err)
         return 1
     return 0
@@ -99,7 +99,7 @@ def repl(out=None, err=None, in_=None):
             for _, value in interp.run_source(buffer):
                 if value is not None:
                     print(format_value(value), file=out)
-        except (LangError, ZeroDivisionError) as e:
+        except LangError as e:
             print(f"error: {type(e).__name__}: {e}", file=err)
         buffer = ""
         prompt = "> "

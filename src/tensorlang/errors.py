@@ -18,6 +18,10 @@ class EvalError(LangError):
     """Type errors, unbound-with-indices references, misuse of forms."""
 
 
+class DivisionByZeroError(EvalError, ZeroDivisionError):
+    """Division by exact zero: `/` by zero, 0^0, 0^-n, or a zero denominator."""
+
+
 class ShapeError(LangError):
     """Ragged tensor literals or otherwise malformed shapes."""
 

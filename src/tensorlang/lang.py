@@ -365,7 +365,7 @@ class Evaluator:
     # value of a node in an environment
     def eval(self, node, env):
         if isinstance(node, NumberLit):
-            return symbolic.Integer(node.value)
+            return symbolic.atom(node.value)
         if isinstance(node, Var):
             return self._var(node, env)
         if isinstance(node, Indexed):
@@ -395,7 +395,7 @@ class Evaluator:
             raise EvalError(
                 f"variable {node.name} is only bound with index signatures; "
                 f"reference it with indices (line {node.pos[0]})")
-        return symbolic.Symbol(node.name)
+        return symbolic.atom(node.name)
 
     def _indexed(self, node, env):
         specs = node.specs
@@ -519,7 +519,7 @@ class Evaluator:
         local_names = set()
         for n in names:
             local = f"{n}%{next(self._local_ids)}"
-            frame.define(n, symbolic.Symbol(local))
+            frame.define(n, symbolic.atom(local))
             local_names.add(local)
         return self._strip_locals(self.eval(body, frame), local_names)
 
@@ -536,7 +536,7 @@ class Evaluator:
             return tensor.make_tensor(val.shape, comps, new_ix)
         if isinstance(val, symbolic.ScalarExpr):
             for name in symbolic.free_symbols(val) & local_names:
-                repl = symbolic.Symbol(f"#{next(self._local_ids)}")
+                repl = symbolic.atom(f"#{next(self._local_ids)}")
                 val = symbolic.substitute(val, name, repl)
             return val
         return val

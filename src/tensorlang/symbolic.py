@@ -6,128 +6,208 @@ into a single leading constant, non-numeric terms/factors are sorted by a
 fixed total order, repeated factors are merged into integer powers, and
 like terms are combined with rational coefficients.  Quotients are
 represented as products with negative powers.
+
+Canonical by construction: the smart constructors (`add`, `mul`, `div`,
+`powi`, `sin`, `cos`, `atom`, `from_fraction`) return interned nodes, one
+shared object per canonical structure, marked `canonical`.  Every node
+caches its hash and its sort key when it is built, so `sort_key` is a
+field read and `canonicalize` returns an engine-built node as it is.
+Calling a node class directly (`Sum((x, y))`) builds a plain tree with
+no normalization; `canonicalize` turns it into the interned form.
+
+The intern table is module-global and keeps its nodes for the life of the
+module.  Equality and hashing are structural, so results stay correct if
+two threads race to intern one structure; only the sharing is lost.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from .errors import ComparisonError, EvalError
+from .errors import ComparisonError, DivisionByZeroError, EvalError
+
+
+_key = attrgetter("key")
 
 
 class ScalarExpr:
-    __slots__ = ()
+    """An immutable expression node.  `key` orders nodes by variant tag,
+    then structurally; `canonical` is set only on interned nodes."""
+
+    __slots__ = ("key", "_hash", "canonical")
+    tag = None
+
+    def __init__(self, *values):
+        key, hashed = [self.tag], [self.tag]
+        for name, v in zip(self.__slots__, values):
+            if isinstance(v, tuple):
+                key.append(tuple(map(_key, v)))
+                hashed += map(hash, v)
+            else:
+                key.append(v.key if isinstance(v, ScalarExpr) else v)
+                hashed.append(hash(v))
+            object.__setattr__(self, name, v)
+        for name, v in (("key", tuple(key)), ("_hash", hash(tuple(hashed))),
+                        ("canonical", False)):
+            object.__setattr__(self, name, v)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, ScalarExpr):
+            return NotImplemented
+        return self._hash == other._hash and self.key == other.key
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Integer(ScalarExpr):
-    value: int
+    __slots__ = ("value",)
+    tag = 0
 
 
-@dataclass(frozen=True)
 class Rational(ScalarExpr):
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
+    tag = 1
 
 
-@dataclass(frozen=True)
 class Symbol(ScalarExpr):
-    name: str
+    __slots__ = ("name",)
+    tag = 2
 
 
-@dataclass(frozen=True)
-class Sum(ScalarExpr):
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Product(ScalarExpr):
-    factors: tuple
-
-
-@dataclass(frozen=True)
 class Power(ScalarExpr):
-    base: ScalarExpr
-    exponent: int
+    __slots__ = ("base", "exponent")  # exponent is an int
+    tag = 3
 
 
-@dataclass(frozen=True)
 class Apply(ScalarExpr):
-    fn: str  # "sin" or "cos"
-    arg: ScalarExpr
+    __slots__ = ("fn", "arg")  # fn is "sin" or "cos"
+    tag = 4
 
 
-ZERO = Integer(0)
-ONE = Integer(1)
-MINUS_ONE = Integer(-1)
+class Sum(ScalarExpr):
+    __slots__ = ("terms",)
+    tag = 5
 
-_TAG = {Integer: 0, Rational: 1, Symbol: 2, Power: 3, Apply: 4, Sum: 5, Product: 6}
+
+class Product(ScalarExpr):
+    __slots__ = ("factors",)
+    tag = 6
+
+
+_interned = {}  # (class, *fields) -> the canonical node with those fields
+
+
+def _make(cls, *fields):
+    """The interned node of a structure the caller has made canonical."""
+    k = (cls, *fields)
+    node = _interned.get(k)
+    if node is None:
+        node = cls(*fields)
+        object.__setattr__(node, "canonical", True)
+        node = _interned.setdefault(k, node)
+    return node
+
+
+ZERO = _make(Integer, 0)
+ONE = _make(Integer, 1)
+MINUS_ONE = _make(Integer, -1)
 
 
 def is_numeric(e):
     return isinstance(e, (Integer, Rational))
 
 
+def _value(e):
+    """An int for an Integer, a Fraction for a Rational."""
+    return e.value if type(e) is Integer else Fraction(e.numerator, e.denominator)
+
+
 def as_fraction(e):
-    if isinstance(e, Integer):
-        return Fraction(e.value)
-    if isinstance(e, Rational):
-        return Fraction(e.numerator, e.denominator)
+    if is_numeric(e):
+        return Fraction(_value(e))
     raise EvalError(f"not a numeric expression: {e!r}")
 
 
 def from_fraction(q):
-    q = Fraction(q)
+    """The interned Integer or Rational of an int or a Fraction."""
     if q.denominator == 1:
-        return Integer(q.numerator)
-    return Rational(q.numerator, q.denominator)
+        return _make(Integer, q.numerator)
+    return _make(Rational, q.numerator, q.denominator)
+
+
+def atom(x):
+    """The Integer of an int, or the Symbol named by a string."""
+    return _make(Integer, x) if isinstance(x, int) else _make(Symbol, x)
 
 
 def sort_key(e):
-    """Total order on expressions: variant tag, then structural recursion."""
-    if isinstance(e, Integer):
-        return (0, e.value)
-    if isinstance(e, Rational):
-        return (1, (e.numerator, e.denominator))
-    if isinstance(e, Symbol):
-        return (2, e.name)
-    if isinstance(e, Power):
-        return (3, sort_key(e.base), e.exponent)
-    if isinstance(e, Apply):
-        return (4, e.fn, sort_key(e.arg))
-    if isinstance(e, Sum):
-        return (5, tuple(sort_key(t) for t in e.terms))
-    if isinstance(e, Product):
-        return (6, tuple(sort_key(f) for f in e.factors))
-    raise EvalError(f"not a scalar expression: {e!r}")
+    """Total order on expressions: variant tag, then structural recursion.
+    Cached on the node when it is built."""
+    return e.key
 
 
 # --- canonicalization -------------------------------------------------------
 
 
 def canonicalize(e):
-    """Normalize an arbitrarily built expression tree.  Idempotent."""
-    if isinstance(e, Integer):
+    """Normalize an arbitrarily built expression tree.  Idempotent; an
+    engine-built node comes back as it is."""
+    if getattr(e, "canonical", False):
         return e
-    if isinstance(e, Rational):
-        if e.denominator == 0:
-            raise ZeroDivisionError("rational with zero denominator")
-        return from_fraction(Fraction(e.numerator, e.denominator))
-    if isinstance(e, Symbol):
-        return e
-    if isinstance(e, Power):
-        return _pow(canonicalize(e.base), e.exponent)
-    if isinstance(e, Apply):
-        if e.fn not in ("sin", "cos"):
-            raise EvalError(f"unknown function symbol: {e.fn}")
-        return Apply(e.fn, canonicalize(e.arg))
-    if isinstance(e, Sum):
-        return _sum([canonicalize(t) for t in e.terms])
-    if isinstance(e, Product):
-        return _product([canonicalize(f) for f in e.factors])
-    raise EvalError(f"not a scalar expression: {e!r}")
+    if type(e) is Rational and e.denominator == 0:
+        raise DivisionByZeroError("rational with zero denominator")
+    if is_numeric(e):
+        return from_fraction(_value(e))
+    if type(e) is Symbol:
+        return atom(e.name)
+    if not isinstance(e, ScalarExpr):
+        raise EvalError(f"not a scalar expression: {e!r}")
+    return _rebuild(e, [canonicalize(c) for c in _children(e)])
+
+
+def _children(e):
+    t = type(e)
+    if t is Sum:
+        return e.terms
+    if t is Product:
+        return e.factors
+    if t is Power:
+        return (e.base,)
+    if t is Apply:
+        return (e.arg,)
+    return ()
+
+
+def _rebuild(e, children):
+    """The canonical node of e's variant over new canonical children."""
+    t = type(e)
+    if t is Sum:
+        return add(*children)
+    if t is Product:
+        return mul(*children)
+    if t is Power:
+        return _pow(children[0], e.exponent)
+    if t is Apply:
+        return _apply(e.fn, children[0])
+    return e
+
+
+def _apply(fn, arg):
+    if fn not in ("sin", "cos"):
+        raise EvalError(f"unknown function symbol: {fn}")
+    return _make(Apply, fn, arg)
 
 
 def _pow(base, n):
@@ -135,129 +215,97 @@ def _pow(base, n):
         raise EvalError(f"power exponent must be an integer, got {n!r}")
     if n == 0:
         if base == ZERO:
-            raise ZeroDivisionError("0 raised to the power 0")
+            raise DivisionByZeroError("0 raised to the power 0")
         return ONE
     if n == 1:
         return base
     if is_numeric(base):
-        q = as_fraction(base)
+        q = _value(base)
         if q == 0 and n < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return from_fraction(q ** n)
-    if isinstance(base, Power):
+            raise DivisionByZeroError("0 raised to a negative power")
+        return from_fraction(Fraction(q) ** n if n < 0 else q ** n)
+    if type(base) is Power:
         return _pow(base.base, base.exponent * n)
-    if isinstance(base, Product):
+    if type(base) is Product:
         return _product([_pow(f, n) for f in base.factors])
-    return Power(base, n)
+    return _make(Power, base, n)
 
 
 def _product(factors):
-    coeff = Fraction(1)
-    powers = {}  # sort_key(base) -> [base, exponent]
-
-    def push(base, exp):
-        k = sort_key(base)
-        if k in powers:
-            powers[k][1] += exp
-        else:
-            powers[k] = [base, exp]
-
-    todo = list(factors)
-    while todo:
-        f = todo.pop(0)
-        if isinstance(f, Product):
-            todo = list(f.factors) + todo
-        elif is_numeric(f):
-            coeff *= as_fraction(f)
-        elif isinstance(f, Power):
-            push(f.base, f.exponent)
-        else:
-            push(f, 1)
+    """Canonical product of canonical factors."""
+    coeff = 1
+    powers = {}  # base -> exponent
+    for f in factors:
+        for g in f.factors if type(f) is Product else (f,):
+            if type(g) is Integer or type(g) is Rational:
+                coeff *= _value(g)
+            elif type(g) is Power:
+                powers[g.base] = powers.get(g.base, 0) + g.exponent
+            else:
+                powers[g] = powers.get(g, 0) + 1
     if coeff == 0:
         return ZERO
-    parts = []
-    for base, exp in powers.values():
-        if exp == 0:
-            continue
-        parts.append(base if exp == 1 else _pow(base, exp))
-    parts.sort(key=sort_key)
+    parts = sorted((_pow(base, exp) for base, exp in powers.items() if exp != 0), key=_key)
     if not parts:
         return from_fraction(coeff)
     if coeff == 1:
-        return parts[0] if len(parts) == 1 else Product(tuple(parts))
-    if len(parts) == 1 and isinstance(parts[0], Sum):
+        return parts[0] if len(parts) == 1 else _make(Product, tuple(parts))
+    if len(parts) == 1 and type(parts[0]) is Sum:
         # distribute the constant so that s - s collapses term by term
         c = from_fraction(coeff)
         return _sum([_product([c, t]) for t in parts[0].terms])
-    return Product((from_fraction(coeff), *parts))
+    return _make(Product, (from_fraction(coeff), *parts))
 
 
 def _split_term(t):
     """Split a canonical term into (rational coefficient, monomial | None)."""
-    if is_numeric(t):
-        return as_fraction(t), None
-    if isinstance(t, Product) and is_numeric(t.factors[0]):
+    if type(t) is Integer or type(t) is Rational:
+        return _value(t), None
+    if type(t) is Product and is_numeric(t.factors[0]):
         rest = t.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Product(rest)
-        return as_fraction(t.factors[0]), mono
-    return Fraction(1), t
-
-
-def _join_term(coeff, mono):
-    if mono is None:
-        return from_fraction(coeff)
-    if coeff == 1:
-        return mono
-    if isinstance(mono, Product):
-        return Product((from_fraction(coeff), *mono.factors))
-    return Product((from_fraction(coeff), mono))
+        return _value(t.factors[0]), rest[0] if len(rest) == 1 else _make(Product, rest)
+    return 1, t
 
 
 def _sum(terms):
-    const = Fraction(0)
-    by_mono = {}  # sort_key(monomial) -> [coeff, monomial]
-    todo = list(terms)
-    while todo:
-        t = todo.pop(0)
-        if isinstance(t, Sum):
-            todo = list(t.terms) + todo
-            continue
-        coeff, mono = _split_term(t)
-        if mono is None:
-            const += coeff
-            continue
-        k = sort_key(mono)
-        if k in by_mono:
-            by_mono[k][0] += coeff
-        else:
-            by_mono[k] = [coeff, mono]
-    parts = [_join_term(c, m) for c, m in by_mono.values() if c != 0]
-    parts.sort(key=sort_key)
+    """Canonical sum of canonical terms."""
+    const = 0
+    by_mono = {}  # monomial -> coefficient
+    for t in terms:
+        for u in t.terms if type(t) is Sum else (t,):
+            coeff, mono = _split_term(u)
+            if mono is None:
+                const += coeff
+            else:
+                by_mono[mono] = by_mono.get(mono, 0) + coeff
+    parts = []
+    for mono, coeff in by_mono.items():
+        if coeff == 1:
+            parts.append(mono)
+        elif coeff != 0:  # mono is never a Sum here, so there is nothing to distribute
+            factors = mono.factors if type(mono) is Product else (mono,)
+            parts.append(_make(Product, (from_fraction(coeff), *factors)))
+    parts.sort(key=_key)
     if const != 0 or not parts:
         parts.insert(0, from_fraction(const))
-    if not parts:
-        return ZERO
-    if len(parts) == 1:
-        return parts[0]
-    return Sum(tuple(parts))
+    return parts[0] if len(parts) == 1 else _make(Sum, tuple(parts))
 
 
 # --- arithmetic -------------------------------------------------------------
 
 
 def add(*es):
-    return _sum([canonicalize(e) for e in es])
+    es = [canonicalize(e) for e in es]
+    if all(type(e) is Integer for e in es):
+        return _make(Integer, sum(e.value for e in es))
+    return _sum(es)
 
 
 def mul(*es):
-    parts = []
-    for e in es:
-        c = canonicalize(e)
-        if isinstance(c, Product):
-            parts.extend(c.factors)
-        else:
-            parts.append(c)
-    return _product(parts)
+    es = [canonicalize(e) for e in es]
+    if all(type(e) is Integer for e in es):
+        return _make(Integer, math.prod(e.value for e in es))
+    return _product(es)
 
 
 def neg(e):
@@ -273,7 +321,7 @@ def sub(first, *rest):
 def div(a, b):
     b = canonicalize(b)
     if b == ZERO:
-        raise ZeroDivisionError("division by zero")
+        raise DivisionByZeroError("division by zero")
     if is_numeric(b):
         return mul(a, from_fraction(1 / as_fraction(b)))
     return mul(a, _pow(b, -1))
@@ -284,11 +332,11 @@ def powi(a, n):
 
 
 def sin(e):
-    return Apply("sin", canonicalize(e))
+    return _make(Apply, "sin", canonicalize(e))
 
 
 def cos(e):
-    return Apply("cos", canonicalize(e))
+    return _make(Apply, "cos", canonicalize(e))
 
 
 # --- differentiation --------------------------------------------------------
@@ -296,8 +344,7 @@ def cos(e):
 
 def differentiate(e, name):
     """Partial derivative with respect to the symbol called `name`."""
-    e = canonicalize(e)
-    return _diff(e, name)
+    return _diff(canonicalize(e), name)
 
 
 def _diff(e, name):
@@ -314,12 +361,13 @@ def _diff(e, name):
             terms.append(mul(_diff(f, name), *rest))
         return add(*terms)
     if isinstance(e, Power):
-        return mul(Integer(e.exponent), _pow(e.base, e.exponent - 1), _diff(e.base, name))
+        return mul(from_fraction(e.exponent), _pow(e.base, e.exponent - 1),
+                   _diff(e.base, name))
     if isinstance(e, Apply):
         inner = _diff(e.arg, name)
         if e.fn == "sin":
-            return mul(Apply("cos", e.arg), inner)
-        return mul(MINUS_ONE, Apply("sin", e.arg), inner)
+            return mul(cos(e.arg), inner)
+        return mul(MINUS_ONE, sin(e.arg), inner)
     raise EvalError(f"cannot differentiate {e!r}")
 
 
@@ -327,44 +375,20 @@ def _diff(e, name):
 
 
 def substitute(e, name, replacement):
-    e = canonicalize(e)
     replacement = canonicalize(replacement)
 
     def go(x):
-        if isinstance(x, Symbol):
+        if type(x) is Symbol:
             return replacement if x.name == name else x
-        if isinstance(x, Sum):
-            return add(*[go(t) for t in x.terms])
-        if isinstance(x, Product):
-            return mul(*[go(f) for f in x.factors])
-        if isinstance(x, Power):
-            return _pow(go(x.base), x.exponent)
-        if isinstance(x, Apply):
-            return Apply(x.fn, go(x.arg))
-        return x
+        return _rebuild(x, [go(c) for c in _children(x)])
 
-    return go(e)
+    return go(canonicalize(e))
 
 
 def free_symbols(e):
-    out = set()
-
-    def go(x):
-        if isinstance(x, Symbol):
-            out.add(x.name)
-        elif isinstance(x, Sum):
-            for t in x.terms:
-                go(t)
-        elif isinstance(x, Product):
-            for f in x.factors:
-                go(f)
-        elif isinstance(x, Power):
-            go(x.base)
-        elif isinstance(x, Apply):
-            go(x.arg)
-
-    go(e)
-    return out
+    if type(e) is Symbol:
+        return {e.name}
+    return set().union(*map(free_symbols, _children(e)))
 
 
 def eval_numeric(e, env):
@@ -410,7 +434,7 @@ def _expand(e):
     if is_numeric(e) or isinstance(e, Symbol):
         return e
     if isinstance(e, Apply):
-        return Apply(e.fn, _pythagoras(_expand(e.arg)))
+        return _apply(e.fn, _pythagoras(_expand(e.arg)))
     if isinstance(e, Power):
         base = _pythagoras(_expand(e.base))
         if e.exponent > 1 and isinstance(base, Sum):
@@ -431,93 +455,64 @@ def _expand(e):
 
 
 def _monomial(mono):
-    """Monomial as {sort_key(base): (base, exponent)}; mono may be None."""
+    """Monomial as {base: exponent}; mono may be None."""
     out = {}
     if mono is None:
         return out
-    factors = mono.factors if isinstance(mono, Product) else (mono,)
-    for f in factors:
+    for f in mono.factors if isinstance(mono, Product) else (mono,):
         if isinstance(f, Power):
-            out[sort_key(f.base)] = (f.base, f.exponent)
+            out[f.base] = f.exponent
         else:
-            out[sort_key(f)] = (f, 1)
+            out[f] = 1
     return out
-
-
-def _mono_key(m):
-    return tuple(sorted((k, be[1]) for k, be in m.items()))
-
-
-def _mono_node(m):
-    parts = [base if exp == 1 else Power(base, exp) for base, exp in m.values() if exp != 0]
-    if not parts:
-        return None
-    parts.sort(key=sort_key)
-    return parts[0] if len(parts) == 1 else Product(tuple(parts))
 
 
 def _pythagoras(e):
     if not isinstance(e, Sum):
         return e
-    terms = []  # [coeff, monomial-dict]
-    for t in e.terms:
-        coeff, mono = _split_term(t)
-        terms.append([coeff, _monomial(mono)])
+    terms = [[coeff, _monomial(mono)] for coeff, mono in map(_split_term, e.terms)]
+    while _merge_one_pair(terms):
+        # re-collect equal monomials before the next scan
+        collected = {}
+        for c, m in terms:
+            key = frozenset(m.items())
+            if key in collected:
+                collected[key][0] += c
+            else:
+                collected[key] = [c, m]
+        terms = [[c, m] for c, m in collected.values() if c != 0]
+    return add(*[mul(from_fraction(c), *[_pow(b, x) for b, x in m.items()])
+                 for c, m in terms])
 
-    def rebuild():
-        return add(*[_join_term(c, _mono_node(m)) for c, m in terms])
 
-    changed = True
-    while changed:
-        changed = False
-        index = {}
-        for i, (c, m) in enumerate(terms):
-            index.setdefault(_mono_key(m), []).append(i)
-        for i, (c1, m1) in enumerate(terms):
-            if c1 == 0:
+def _merge_one_pair(terms):
+    """Find the first pair c1·m·sin²u, c2·m·cos²u with c1, c2 of one sign,
+    move the smaller coefficient onto a new term m, and report whether
+    there was one."""
+    index = {}
+    for i, (c, m) in enumerate(terms):
+        index.setdefault(frozenset(m.items()), []).append(i)
+    for i, (c1, m1) in enumerate(terms):
+        for base, exp in m1.items():
+            if not (isinstance(base, Apply) and base.fn == "sin" and exp >= 2):
                 continue
-            for k, (base, exp) in list(m1.items()):
-                if not (isinstance(base, Apply) and base.fn == "sin" and exp >= 2):
+            merged = dict(m1)
+            merged[base] = exp - 2
+            if exp == 2:
+                del merged[base]
+            partner = dict(merged)
+            cosb = _make(Apply, "cos", base.arg)
+            partner[cosb] = partner.get(cosb, 0) + 2
+            for j in index.get(frozenset(partner.items()), []):
+                c2 = terms[j][0]
+                if j == i or c1 * c2 <= 0:
                     continue
-                partner = dict(m1)
-                partner[k] = (base, exp - 2)
-                if partner[k][1] == 0:
-                    del partner[k]
-                cosb = Apply("cos", base.arg)
-                ck = sort_key(cosb)
-                old = partner.get(ck, (cosb, 0))
-                partner[ck] = (cosb, old[1] + 2)
-                for j in index.get(_mono_key(partner), []):
-                    c2 = terms[j][0]
-                    if j == i or c2 == 0 or c1 * c2 <= 0:
-                        continue
-                    amount = c1 if abs(c1) <= abs(c2) else c2
-                    merged = dict(m1)
-                    merged[k] = (base, exp - 2)
-                    if merged[k][1] == 0:
-                        del merged[k]
-                    terms[i][0] -= amount
-                    terms[j][0] -= amount
-                    terms.append([amount, merged])
-                    changed = True
-                    break
-                if changed:
-                    break
-            if changed:
-                break
-        if changed:
-            # re-collect equal monomials before the next scan
-            collected = {}
-            for c, m in terms:
-                if c == 0:
-                    continue
-                key = _mono_key(m)
-                if key in collected:
-                    collected[key][0] += c
-                else:
-                    collected[key] = [c, m]
-            terms = [[c, m] for c, m in collected.values() if c != 0]
-    return rebuild()
+                amount = c1 if abs(c1) <= abs(c2) else c2
+                terms[i][0] -= amount
+                terms[j][0] -= amount
+                terms.append([amount, merged])
+                return True
+    return False
 
 
 # --- printing ---------------------------------------------------------------

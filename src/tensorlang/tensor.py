@@ -69,9 +69,9 @@ def _strides(shape):
     return out
 
 
-def _offset(shape, multi):
+def _offset(strides, multi):
     off = 0
-    for s, i in zip(_strides(shape), multi):
+    for s, i in zip(strides, multi):
         off += s * (i - 1)
     return off
 
@@ -82,7 +82,7 @@ def _positions(shape):
 
 
 def component_at(t, multi):
-    return t.components[_offset(t.shape, multi)]
+    return t.components[_offset(_strides(t.shape), multi)]
 
 
 def make_tensor(shape, components, indices=None):
@@ -168,10 +168,11 @@ def diag(k, j, t):
             f"axes {k} and {j} have different dimensions "
             f"({t.shape[k - 1]} vs {t.shape[j - 1]})")
     new_shape = t.shape[:j - 1] + t.shape[j:]
+    strides = _strides(t.shape)
     comps = []
     for multi in _positions(new_shape):
         old = multi[:j - 1] + (multi[k - 1],) + multi[j - 1:]
-        comps.append(component_at(t, old))
+        comps.append(t.components[_offset(strides, old)])
     new_indices = t.indices[:j - 1] + t.indices[j:]
     return make_tensor(new_shape, comps, new_indices)
 
@@ -236,13 +237,14 @@ def append_indices(value, indices):
             return component_at(t, tuple(picked[a] for a in range(t.rank)))
         new_shape = tuple(t.shape[a] for a in keep)
         new_indices = tuple(t.indices[a] for a in keep)
+        strides = _strides(t.shape)
         comps = []
         for multi in _positions(new_shape):
             old = []
             it = iter(multi)
             for a in range(t.rank):
                 old.append(picked[a] if a in picked else next(it))
-            comps.append(component_at(t, tuple(old)))
+            comps.append(t.components[_offset(strides, old)])
         t = make_tensor(new_shape, comps, new_indices)
     return reduce_indices(t)
 
@@ -265,14 +267,15 @@ def contract(fold2, value):
         new_shape = t.shape[:axis] + t.shape[axis + 1:]
         new_indices = t.indices[:axis] + t.indices[axis + 1:]
         if not new_shape:
-            acc = component_at(t, (1,))
-            for i in range(2, t.shape[0] + 1):
-                acc = fold2(acc, component_at(t, (i,)))
+            acc = t.components[0]
+            for i in range(1, t.shape[0]):
+                acc = fold2(acc, t.components[i])
             return acc
+        strides = _strides(t.shape)
         comps = []
         for multi in _positions(new_shape):
             def at(i):
-                return component_at(t, multi[:axis] + (i,) + multi[axis:])
+                return t.components[_offset(strides, multi[:axis] + (i,) + multi[axis:])]
             acc = at(1)
             for i in range(2, t.shape[axis] + 1):
                 acc = fold2(acc, at(i))
@@ -309,12 +312,13 @@ def transpose(order_labels, t):
             raise EvalError("transpose order is not a permutation of the index labels")
     new_shape = tuple(t.shape[a] for a in perm)
     new_indices = tuple(t.indices[a] for a in perm)
+    strides = _strides(t.shape)
     comps = []
     for multi in _positions(new_shape):
         old = [0] * t.rank
         for pos, a in enumerate(perm):
             old[a] = multi[pos]
-        comps.append(component_at(t, tuple(old)))
+        comps.append(t.components[_offset(strides, old)])
     return make_tensor(new_shape, comps, new_indices)
 
 

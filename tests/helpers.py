@@ -102,6 +102,37 @@ def random_scalar_expr(rng, names=("x", "y", "z"), depth=3):
     return symbolic.cos(random_scalar_expr(rng, names, depth - 1))
 
 
+def reference_sort_key(e):
+    """The recursive sort key the engine computed on every call before
+    nodes cached theirs; cached keys must order expressions the same way."""
+    if isinstance(e, Integer):
+        return (0, e.value)
+    if isinstance(e, symbolic.Rational):
+        return (1, (e.numerator, e.denominator))
+    if isinstance(e, symbolic.Symbol):
+        return (2, e.name)
+    if isinstance(e, symbolic.Power):
+        return (3, reference_sort_key(e.base), e.exponent)
+    if isinstance(e, symbolic.Apply):
+        return (4, e.fn, reference_sort_key(e.arg))
+    if isinstance(e, symbolic.Sum):
+        return (5, tuple(reference_sort_key(t) for t in e.terms))
+    if isinstance(e, symbolic.Product):
+        return (6, tuple(reference_sort_key(f) for f in e.factors))
+    raise TypeError(f"not a scalar expression: {e!r}")
+
+
+def subterms(e):
+    """`e` and every node below it, parents first."""
+    out = [e]
+    for child in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+        out += subterms(child)
+    for attr in ("base", "arg"):
+        if hasattr(e, attr):
+            out += subterms(getattr(e, attr))
+    return out
+
+
 def random_binding(rng, names=("x", "y", "z")):
     """Bindings kept away from zero so negative powers stay well-behaved."""
     return {n: rng.choice((-1, 1)) * rng.uniform(0.4, 1.8) for n in names}

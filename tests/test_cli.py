@@ -20,6 +20,13 @@ def test_run_file_reports_errors(tmp_path, capsys):
     assert "DimensionMismatch" in capsys.readouterr().err
 
 
+def test_run_file_reports_division_by_zero(tmp_path, capsys):
+    f = tmp_path / "div.tl"
+    f.write_text("(/ 1 0)\n", encoding="utf-8")
+    assert cli.run_file(str(f)) == 1
+    assert capsys.readouterr().err.startswith("error: DivisionByZeroError: ")
+
+
 def test_run_missing_file(capsys):
     assert cli.run_file("/no/such/file.tl") == 1
 

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from tensorlang import symbolic as s
+from tensorlang import Interpreter, cli, symbolic as s
 from tensorlang.symbolic import (Apply, Integer, Power, Product, Rational,
                                  Sum, Symbol)
 
-from helpers import random_binding, random_scalar_expr, values_close
+from helpers import (random_binding, random_scalar_expr, reference_sort_key,
+                     subterms, values_close)
 
 x, y, r, th = Symbol("x"), Symbol("y"), Symbol("r"), Symbol("θ")
 
@@ -189,3 +190,33 @@ class TestCanonicalEqualityCongruence:
             e = random_scalar_expr(rng)
             c = s.canonicalize(e)
             assert values_close(e, c, rng, trials=100)
+
+
+class TestInterning:
+    def test_cached_keys_order_like_the_reference(self):
+        rng = random.Random(13)
+        # a bare leaf comes back class-built; everything else is engine-built
+        exprs = [s.canonicalize(random_scalar_expr(rng)) for _ in range(200)]
+        nodes = [n for e in exprs for n in subterms(e)]
+        assert sorted(nodes, key=s.sort_key) == sorted(nodes, key=reference_sort_key)
+        for _ in range(2000):
+            a, b = rng.choice(nodes), rng.choice(nodes)
+            ka, kb = reference_sort_key(a), reference_sort_key(b)
+            assert (s.sort_key(a) < s.sort_key(b)) == (ka < kb)
+            assert (s.sort_key(a) == s.sort_key(b)) == (ka == kb) == (a is b)
+        for a, b in zip(exprs, exprs[1:]):
+            assert s.canonicalize(a) is a
+            assert s.add(a, b) is s.add(b, a)
+            assert s.mul(a, b) is s.mul(b, a)
+
+    def test_class_built_trees_are_interned_by_canonicalize(self):
+        e = Sum((y, Product((Integer(2), x))))
+        assert not e.canonical
+        assert s.canonicalize(e) is s.add(s.mul(x, Integer(2)), y)
+
+    def test_second_torus_run_interns_no_new_nodes(self):
+        program = cli.TORUS_PROGRAM.read_text(encoding="utf-8")
+        Interpreter().run_source(program)
+        size = len(s._interned)
+        Interpreter().run_source(program)
+        assert len(s._interned) == size
