@@ -8,35 +8,16 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import golden, oracle
 from .errors import LangError, ParseError
 from .lang import Interpreter, tokenize
 from .symbolic import eval_numeric, expand_and_simplify, ZERO
+from .tensor import component_at
 from .values import format_value
 
 TORUS_PROGRAM = golden.CORPUS_DIR / "torus.tl"
-
-
-@dataclass
-class RunConfig:
-    mode: str  # "run" | "repl" | "test" | "demo"
-    paths: tuple = ()
-    name_filter: str = None
-    seed: int = 1234
-    samples: int = 20
-    precision: int = 12
-
-    def dispatch(self):
-        if self.mode == "run":
-            return run_file(self.paths[0])
-        if self.mode == "repl":
-            return repl()
-        if self.mode == "test":
-            return run_golden(self.name_filter)
-        return demo_torus(seed=self.seed, samples=self.samples)
 
 
 def run_file(path, out=None, err=None):
@@ -123,12 +104,12 @@ def run_golden(name_filter=None, out=None):
 
 
 def _symbolic_curvature(interp):
-    """Component accessors for g, both connection tensors, and R, going
-    through ordinary indexed references."""
-    def grab(fmt):
-        return lambda *idx: interp.eval_source(fmt.format(*idx))
-    return (grab("g_{0}_{1}"), grab("Γ_{0}_{1}_{2}"),
-            grab("Γ~{0}_{1}_{2}"), grab("R~{0}_{1}_{2}_{3}"))
+    """Component accessors for g, both connection tensors, and R.  Each
+    tensor is evaluated once through an ordinary indexed reference."""
+    def grab(ref):
+        t = interp.eval_source(ref)
+        return lambda *idx: component_at(t, idx)
+    return grab("g_i_j"), grab("Γ_i_j_k"), grab("Γ~i_j_k"), grab("R~i_j_k_l")
 
 
 def _agree(sym_val, orc_val, rel=1e-4):
@@ -221,13 +202,13 @@ def main(argv=None):
     p_demo.add_argument("--samples", type=int, default=20)
 
     args = ap.parse_args(argv)
-    config = RunConfig(
-        mode="demo" if args.mode == "demo-torus" else args.mode,
-        paths=(args.path,) if getattr(args, "path", None) else (),
-        name_filter=getattr(args, "name_filter", None),
-        seed=getattr(args, "seed", 1234),
-        samples=getattr(args, "samples", 20))
-    return config.dispatch()
+    if args.mode == "run":
+        return run_file(args.path)
+    if args.mode == "repl":
+        return repl()
+    if args.mode == "test":
+        return run_golden(args.name_filter)
+    return demo_torus(seed=args.seed, samples=args.samples)
 
 
 if __name__ == "__main__":

@@ -211,7 +211,7 @@ class Parser:
         self.last_line = tok.line
         return tok
 
-    def expect(self, kind, opener):
+    def expect(self, opener):
         tok = self.peek()
         if tok is None:
             raise ParseError(f"unbalanced '{opener.kind}'", opener.line, opener.col)
@@ -246,7 +246,7 @@ class Parser:
     def _sequence(self, opener, closer, build):
         items = []
         while True:
-            tok = self.expect(None, opener)
+            tok = self.expect(opener)
             if tok.kind == closer:
                 self.advance()
                 return build(tuple(items), (opener.line, opener.col))
@@ -590,12 +590,11 @@ class Interpreter:
     """One evaluation context: a global environment, the standard library,
     and private counters for dummy indices and local symbols."""
 
-    def __init__(self, with_stdlib=True):
+    def __init__(self):
         self.globals = Environment()
         self.evaluator = Evaluator()
-        if with_stdlib:
-            from . import stdlib
-            stdlib.install(self)
+        from . import stdlib
+        stdlib.install(self)
 
     def run_source(self, text):
         """Evaluate every top-level form; list of (span, value) in order.

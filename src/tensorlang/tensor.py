@@ -9,8 +9,9 @@ omitted indices behave.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (BoundsError, BroadcastError, DimensionMismatchError,
                      EvalError, RankError, ShapeError)
@@ -128,31 +129,29 @@ def tensor_from_nested(elements):
     return make_tensor((len(elements),), elements)
 
 
-# --- assoc-list helpers mirroring the reduction pseudo-code ------------------
+def _gather(t, shape, axis_of, base=0):
+    """Row-major components of a tensor of `shape` read out of `t`.
+
+    Input axis a follows output axis axis_of[a], or stays fixed when that
+    entry is None, its offset already counted in `base`.  Several input
+    axes following one output axis read its diagonal.
+    """
+    if base == 0 and axis_of == list(range(len(shape))):
+        return t.components  # the identity plan reads every component in order
+    steps = [0] * len(shape)
+    for stride, out in zip(_strides(t.shape), axis_of):
+        if out is not None:
+            steps[out] += stride
+    offsets = [base]
+    for d, step in zip(shape, steps):
+        offsets = [off + step * i for off in offsets for i in range(d)]
+    comps = t.components
+    return [comps[off] for off in offsets]
 
 
-def clashing_pairs(entries):
-    """Pairs of 1-based positions carrying the same label, ordered."""
-    pairs = []
-    for k in range(len(entries)):
-        for j in range(k + 1, len(entries)):
-            lk, lj = entries[k][0], entries[j][0]
-            if lk is not None and lk == lj:
-                pairs.append((k + 1, j + 1))
-    pairs.sort()
-    return pairs
-
-
-def entry_code(k, entries):
-    return entries[k - 1][1]
-
-
-def remove_entry(k, entries):
-    return entries[:k - 1] + entries[k:]
-
-
-def update_entry(k, code, entries):
-    return entries[:k - 1] + [(entries[k - 1][0], code)] + entries[k:]
+def _mismatch(k, j, dk, dj):
+    return DimensionMismatchError(
+        f"axes {k} and {j} have different dimensions ({dk} vs {dj})")
 
 
 # --- the reduction engine ----------------------------------------------------
@@ -164,44 +163,56 @@ def diag(k, j, t):
     if not (1 <= k < j <= t.rank):
         raise EvalError(f"diag positions out of range: {k}, {j}")
     if t.shape[k - 1] != t.shape[j - 1]:
-        raise DimensionMismatchError(
-            f"axes {k} and {j} have different dimensions "
-            f"({t.shape[k - 1]} vs {t.shape[j - 1]})")
-    new_shape = t.shape[:j - 1] + t.shape[j:]
-    strides = _strides(t.shape)
-    comps = []
-    for multi in _positions(new_shape):
-        old = multi[:j - 1] + (multi[k - 1],) + multi[j - 1:]
-        comps.append(t.components[_offset(strides, old)])
-    new_indices = t.indices[:j - 1] + t.indices[j:]
-    return make_tensor(new_shape, comps, new_indices)
+        raise _mismatch(k, j, t.shape[k - 1], t.shape[j - 1])
+    axis_of = [a if a < j - 1 else a - 1 for a in range(t.rank)]
+    axis_of[j - 1] = k - 1
+    shape = t.shape[:j - 1] + t.shape[j:]
+    return make_tensor(shape, _gather(t, shape, axis_of), t.indices[:j - 1] + t.indices[j:])
 
 
 def reduce_indices(t):
-    """Merge same-label index positions into diagonals until none clash.
+    """Merge same-label index positions into diagonals.
 
-    Equal variances (or a supersubscript against anything) keep the left
-    slot unchanged; a superscript against a subscript turns the surviving
-    left slot into a supersubscript.
+    Each label keeps the slot of its first occurrence; slots without an
+    index never merge.  The kept slot becomes a supersubscript when its
+    group holds both a superscript and a subscript, and is otherwise
+    unchanged.
     """
     if not isinstance(t, Tensor):
         return t
-    while True:
-        entries = [(ix.label if ix else None, ix.variance if ix else None)
-                   for ix in t.indices]
-        for label, _ in entries:
-            if isinstance(label, NumberLabel):
-                raise EvalError("numeric indices must be selected before reduction")
-        pairs = clashing_pairs(entries)
-        if not pairs:
-            return t
-        k, j = pairs[0]
-        ck, cj = entry_code(k, entries), entry_code(j, entries)
-        t = diag(k, j, t)
-        if ck != cj and 0 not in (ck, cj):
-            new = list(t.indices)
-            new[k - 1] = replace(new[k - 1], variance=SUPSUB)
-            t = make_tensor(t.shape, t.components, new)
+    out_of = {}  # label -> output axis
+    members = []  # per output axis, the input axes it keeps the diagonal of
+    axis_of = []
+    for a, ix in enumerate(t.indices):
+        if ix is not None and isinstance(ix.label, NumberLabel):
+            raise EvalError("numeric indices must be selected before reduction")
+        out = out_of.get(ix.label) if ix is not None else None
+        if out is None:
+            out = len(members)
+            members.append([])
+            if ix is not None:
+                out_of[ix.label] = out
+        members[out].append(a)
+        axis_of.append(out)
+    if len(members) == t.rank:
+        return t
+    # A mismatch names its axes as merging one pair at a time, leftmost
+    # label first, would number them.
+    merged = []
+    for first, *rest in members:
+        for a in rest:
+            if t.shape[a] != t.shape[first]:
+                k, j = (x + 1 - sum(m < x for m in merged) for x in (first, a))
+                raise _mismatch(k, j, t.shape[first], t.shape[a])
+            merged.append(a)
+    indices = []
+    for first, *rest in members:
+        ix = t.indices[first]
+        if rest and {t.indices[a].variance for a in (first, *rest)} >= {SUP, SUB}:
+            ix = Index(SUPSUB, ix.label)
+        indices.append(ix)
+    shape = tuple(t.shape[first] for first, *_ in members)
+    return make_tensor(shape, _gather(t, shape, axis_of), indices)
 
 
 def append_indices(value, indices):
@@ -221,32 +232,24 @@ def append_indices(value, indices):
             f"{len(indices)} indices on a rank-{value.rank} tensor")
     slots = list(value.indices)
     slots[:len(indices)] = list(indices)
-    t = make_tensor(value.shape, value.components, slots)
-
-    picked = {}
-    for axis, ix in enumerate(t.indices):
+    base = 0
+    keep = []
+    axis_of = []
+    for a, (ix, d, stride) in enumerate(zip(slots, value.shape, _strides(value.shape))):
         if ix is not None and isinstance(ix.label, NumberLabel):
             v = ix.label.value
-            if not (1 <= v <= t.shape[axis]):
-                raise BoundsError(
-                    f"index {v} out of bounds for axis of dimension {t.shape[axis]}")
-            picked[axis] = v
-    if picked:
-        keep = [a for a in range(t.rank) if a not in picked]
-        if not keep:
-            return component_at(t, tuple(picked[a] for a in range(t.rank)))
-        new_shape = tuple(t.shape[a] for a in keep)
-        new_indices = tuple(t.indices[a] for a in keep)
-        strides = _strides(t.shape)
-        comps = []
-        for multi in _positions(new_shape):
-            old = []
-            it = iter(multi)
-            for a in range(t.rank):
-                old.append(picked[a] if a in picked else next(it))
-            comps.append(t.components[_offset(strides, old)])
-        t = make_tensor(new_shape, comps, new_indices)
-    return reduce_indices(t)
+            if not (1 <= v <= d):
+                raise BoundsError(f"index {v} out of bounds for axis of dimension {d}")
+            base += stride * (v - 1)
+            axis_of.append(None)
+        else:
+            axis_of.append(len(keep))
+            keep.append(a)
+    shape = tuple(value.shape[a] for a in keep)
+    comps = _gather(value, shape, axis_of, base)
+    if not keep:
+        return comps[0]
+    return reduce_indices(make_tensor(shape, comps, [slots[a] for a in keep]))
 
 
 # --- primitive operations ----------------------------------------------------
@@ -264,23 +267,15 @@ def contract(fold2, value):
                      if ix is not None and ix.variance == SUPSUB), None)
         if axis is None:
             return t
-        new_shape = t.shape[:axis] + t.shape[axis + 1:]
-        new_indices = t.indices[:axis] + t.indices[axis + 1:]
-        if not new_shape:
-            acc = t.components[0]
-            for i in range(1, t.shape[0]):
-                acc = fold2(acc, t.components[i])
-            return acc
-        strides = _strides(t.shape)
-        comps = []
-        for multi in _positions(new_shape):
-            def at(i):
-                return t.components[_offset(strides, multi[:axis] + (i,) + multi[axis:])]
-            acc = at(1)
-            for i in range(2, t.shape[axis] + 1):
-                acc = fold2(acc, at(i))
-            comps.append(acc)
-        t = make_tensor(new_shape, comps, new_indices)
+        shape = t.shape[:axis] + t.shape[axis + 1:]
+        axis_of = [a if a < axis else a - 1 for a in range(t.rank)]
+        axis_of[axis] = None
+        stride = _strides(t.shape)[axis]
+        slices = [_gather(t, shape, axis_of, stride * i) for i in range(t.shape[axis])]
+        comps = [functools.reduce(fold2, column) for column in zip(*slices)]
+        if not shape:
+            return comps[0]
+        t = make_tensor(shape, comps, t.indices[:axis] + t.indices[axis + 1:])
 
 
 def flip_indices(value):
@@ -301,25 +296,16 @@ def transpose(order_labels, t):
     if len(order_labels) != t.rank or None in labels:
         raise EvalError("transpose order must cover every indexed axis")
     perm = []
-    used = set()
-    for want in order_labels:
-        for a, lab in enumerate(labels):
-            if a not in used and lab == want:
-                perm.append(a)
-                used.add(a)
-                break
-        else:
+    axis_of = [None] * t.rank
+    for pos, want in enumerate(order_labels):
+        a = next((a for a, lab in enumerate(labels)
+                  if lab == want and axis_of[a] is None), None)
+        if a is None:
             raise EvalError("transpose order is not a permutation of the index labels")
-    new_shape = tuple(t.shape[a] for a in perm)
-    new_indices = tuple(t.indices[a] for a in perm)
-    strides = _strides(t.shape)
-    comps = []
-    for multi in _positions(new_shape):
-        old = [0] * t.rank
-        for pos, a in enumerate(perm):
-            old[a] = multi[pos]
-        comps.append(t.components[_offset(strides, old)])
-    return make_tensor(new_shape, comps, new_indices)
+        perm.append(a)
+        axis_of[a] = pos
+    shape = tuple(t.shape[a] for a in perm)
+    return make_tensor(shape, _gather(t, shape, axis_of), [t.indices[a] for a in perm])
 
 
 def tensor_map(call1, t):

@@ -23,25 +23,28 @@ def brute_reduce(shape, components, labeled):
     """Reduce by enumerating every multi-index and keeping the positions
     where all axes sharing a label agree.
 
-    `labeled` is a per-axis list of (label, variance).  Returns
+    `labeled` is a per-axis list of (label, variance); an axis labelled
+    None carries no index and never merges.  Returns
     (shape, components, [(label, variance)]).  Raises ValueError when two
     axes with one label have different dimensions.
     """
     order = []  # (label, variance, dim) by first occurrence
+    group = []  # per axis, its entry in `order`
     for axis, (lab, var) in enumerate(labeled):
-        for entry in order:
-            if entry[0] == lab:
+        for pos, entry in enumerate(order):
+            if lab is not None and entry[0] == lab:
                 if entry[2] != shape[axis]:
                     raise ValueError("dimension mismatch for label")
                 entry[1] = merge_variance(entry[1], var)
+                group.append(pos)
                 break
         else:
+            group.append(len(order))
             order.append([lab, var, shape[axis]])
     out_shape = tuple(e[2] for e in order)
-    pos_of = {e[0]: i for i, e in enumerate(order)}
     comps = []
     for multi in itertools.product(*[range(1, d + 1) for d in out_shape]):
-        old = tuple(multi[pos_of[lab]] for lab, _ in labeled)
+        old = tuple(multi[pos] for pos in group)
         off = 0
         stride = 1
         for axis in range(len(shape) - 1, -1, -1):
@@ -53,11 +56,16 @@ def brute_reduce(shape, components, labeled):
 
 def random_labeled_tensor(rng, labels=("i", "j"), max_rank=4, max_dim=3):
     """A random integer tensor plus a per-axis (label, variance) assignment;
-    axes sharing a label share a dimension."""
+    axes sharing a label share a dimension.  A None among `labels` makes
+    some axes (None, None): no index, and a dimension of their own."""
     rank = rng.randint(1, max_rank)
-    dim_of = {lab: rng.randint(1, max_dim) for lab in labels}
-    axes = [(rng.choice(labels), rng.choice((1, -1, 0))) for _ in range(rank)]
-    shape = tuple(dim_of[lab] for lab, _ in axes)
+    dim_of = {lab: rng.randint(1, max_dim) for lab in labels if lab is not None}
+    axes = []
+    for _ in range(rank):
+        lab = rng.choice(labels)
+        axes.append((lab, None if lab is None else rng.choice((1, -1, 0))))
+    shape = tuple(rng.randint(1, max_dim) if lab is None else dim_of[lab]
+                  for lab, _ in axes)
     n = 1
     for d in shape:
         n *= d
@@ -66,16 +74,21 @@ def random_labeled_tensor(rng, labels=("i", "j"), max_rank=4, max_dim=3):
 
 
 def as_engine_tensor(shape, comps, axes):
-    idx = tuple(Index(var, SymbolLabel(lab)) for lab, var in axes)
+    idx = tuple(None if lab is None else Index(var, SymbolLabel(lab))
+                for lab, var in axes)
     return tensor.make_tensor(shape, comps, idx)
 
 
 def engine_summary(t):
-    """(shape, components, [(label, variance)]) for reduced engine output."""
+    """(shape, components, [(label, variance)]) for reduced engine output;
+    an axis without an index reads (None, None)."""
     labs = []
     for ix in t.indices:
-        labs.append((ix.label.name if isinstance(ix.label, SymbolLabel) else ix.label,
-                     ix.variance))
+        if ix is None:
+            labs.append((None, None))
+        else:
+            labs.append((ix.label.name if isinstance(ix.label, SymbolLabel) else ix.label,
+                         ix.variance))
     return t.shape, t.components, labs
 
 

@@ -125,6 +125,25 @@ class TestReduce:
             want = brute_reduce(shape, comps, axes)
             assert got == want
 
+    def test_matches_brute_force_with_unindexed_axes(self):
+        rng = random.Random(23)
+        unindexed = 0
+        for _ in range(500):
+            shape, comps, axes = random_labeled_tensor(
+                rng, labels=("i", "j", "k", None), max_rank=5)
+            unindexed += sum(lab is None for lab, _ in axes)
+            got = engine_summary(T.reduce_indices(as_engine_tensor(shape, comps, axes)))
+            assert got == brute_reduce(shape, comps, axes)
+        assert unindexed > 100
+
+    def test_mismatch_counts_axes_after_earlier_merges(self):
+        # A_i_j_i_j on shape {2 2 2 3}: once the i pair has merged, the
+        # clashing j axes sit at positions 2 and 3.
+        a = T.make_tensor((2, 2, 2, 3), [Integer(k) for k in range(24)])
+        with pytest.raises(DimensionMismatchError) as err:
+            T.append_indices(a, [sym("i"), sym("j"), sym("i"), sym("j")])
+        assert str(err.value) == "axes 2 and 3 have different dimensions (2 vs 3)"
+
 
 class TestDiag:
     def test_matrix_diagonal(self):
@@ -143,20 +162,6 @@ class TestDiag:
         for i in (1, 2):
             for j in (1, 2, 3):
                 assert T.component_at(d, (i, j)) == T.component_at(t, (i, j, i))
-
-
-class TestAssocHelpers:
-    def test_clashing_pairs(self):
-        assert T.clashing_pairs([("i", 1), ("j", -1), ("i", 1)]) == [(1, 3)]
-
-    def test_entry_code(self):
-        assert T.entry_code(2, [("i", 1), ("j", -1)]) == -1
-
-    def test_remove(self):
-        assert T.remove_entry(2, [("i", 1), ("j", -1)]) == [("i", 1)]
-
-    def test_update(self):
-        assert T.update_entry(2, 0, [("i", 1), ("j", -1)]) == [("i", 1), ("j", 0)]
 
 
 def fold_add(a, b):
