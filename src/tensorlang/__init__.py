@@ -11,8 +11,8 @@ operator work on whole tensors).
 
 from . import symbolic, tensor
 from .errors import (ArityError, BoundsError, BroadcastError, ComparisonError,
-                     DimensionMismatchError, EvalError, LangError, ParseError,
-                     RankError, ShapeError, SingularMatrixError)
+                     DepthError, DimensionMismatchError, EvalError, LangError,
+                     ParseError, RankError, ShapeError, SingularMatrixError)
 from .lang import Interpreter, parse_forms, parse_program, tokenize
 from .tensor import Index, Tensor
 from .values import format_value
@@ -23,5 +23,5 @@ __all__ = [
     "symbolic", "tensor",
     "LangError", "ParseError", "EvalError", "ShapeError", "RankError",
     "BoundsError", "DimensionMismatchError", "BroadcastError", "ArityError",
-    "ComparisonError", "SingularMatrixError",
+    "ComparisonError", "SingularMatrixError", "DepthError",
 ]

@@ -52,3 +52,7 @@ class ComparisonError(LangError):
 
 class SingularMatrixError(LangError):
     """Matrix inversion on a canonically zero determinant."""
+
+
+class DepthError(LangError):
+    """A form nests or recurses deeper than the Python stack allows."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LangError
-from .lang import Interpreter, parse_program, tokenize
+from .lang import Interpreter, tokenize
 from .symbolic import ScalarExpr, eval_numeric
 from .values import format_value
 
@@ -102,17 +102,13 @@ def run_case(case):
     failures = []
     expectations = list(case.expectations)
     try:
-        interp = Interpreter()
-        forms = parse_program(case.source)
-        evaluated = []  # (end_line, value)
-        for node, _, end in forms:
-            evaluated.append((end, interp.evaluator.eval(node, interp.globals)))
+        evaluated = Interpreter().run_source(case.source)
     except LangError as e:
         return CaseResult(case, False, len(expectations),
                           [f"{type(e).__name__}: {e}"])
     for exp in expectations:
         target = None
-        for end, value in evaluated:
+        for (_, end), value in evaluated:
             if end < exp.line:
                 target = value
         ok, got = _check(target, exp)

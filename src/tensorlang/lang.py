@@ -8,11 +8,10 @@ import re
 from dataclasses import dataclass
 
 from . import symbolic, tensor
-from .errors import ArityError, EvalError, ParseError
+from .errors import ArityError, DepthError, EvalError, ParseError
 from .tensor import (KIND_INVERTED, KIND_SCALAR, KIND_TENSOR, NumberLabel,
                      SymbolLabel, Tensor)
-from .values import (BraceValue, Builtin, Environment, FunctionValue,
-                     format_value)
+from .values import BraceValue, Environment, FunctionValue, format_value
 
 _MISSING = Environment.MISSING
 
@@ -222,7 +221,10 @@ class Parser:
         forms = []
         while self.peek() is not None:
             start = self.peek().line
-            node = self.parse_expr()
+            try:
+                node = self.parse_expr()
+            except RecursionError:
+                raise DepthError(f"line {start}: form nests too deeply") from None
             forms.append((node, start, self.last_line))
         return forms
 
@@ -379,7 +381,7 @@ class Evaluator:
         if isinstance(node, ShorthandLambda):
             self._check_placeholders(node)
             params = tuple((KIND_TENSOR, f"%{k}") for k in range(1, node.arity + 1))
-            return FunctionValue(params, node.body, env)
+            return _closure(params, node.body, env)
         if isinstance(node, BrackList):
             raise EvalError(f"unexpected [...] at line {node.pos[0]}")
         if isinstance(node, ListForm):
@@ -472,7 +474,7 @@ class Evaluator:
                         f"if condition must be a boolean, got {format_value(cond)}")
                 return self.eval(items[2] if cond else items[3], env)
         fv = self.eval(items[0], env)
-        if not isinstance(fv, (FunctionValue, Builtin)):
+        if not isinstance(fv, FunctionValue):
             raise EvalError(f"not a function: {format_value(fv)} (line {node.pos[0]})")
         args = [self.eval(a, env) for a in items[1:]]
         return self.call(fv, args)
@@ -487,7 +489,7 @@ class Evaluator:
                 params.append((KIND_SCALAR, name[1:]))
             else:
                 params.append((KIND_TENSOR, name[1:]))
-        return FunctionValue(tuple(params), node.items[2], env)
+        return _closure(params, node.items[2], env)
 
     def _define(self, node, env):
         target, body = node.items[1], node.items[2]
@@ -544,34 +546,28 @@ class Evaluator:
     # --- application ----------------------------------------------------------
 
     def call(self, fv, args):
-        kinds = self._kinds_for(fv, len(args))
+        kinds = fv.kinds
+        if fv.variadic:
+            if not args:
+                raise ArityError(f"{fv.name} expects at least 1 arguments, got 0")
+            kinds = kinds * len(args)
+        elif len(args) != len(kinds):
+            raise ArityError(f"{fv.name or 'function'} expects {len(kinds)} "
+                             f"arguments, got {len(args)}")
         if any(k != KIND_TENSOR for k in kinds):
-            return tensor.scalar_apply(lambda xs: self._base_call(fv, xs), kinds, args)
-        return self._base_call(fv, args)
+            return tensor.scalar_apply(lambda xs: fv.impl(self, xs), kinds, args)
+        return fv.impl(self, args)
 
-    def _kinds_for(self, fv, nargs):
-        if isinstance(fv, Builtin):
-            if fv.variadic:
-                if nargs < fv.min_args:
-                    raise ArityError(
-                        f"{fv.name} expects at least {fv.min_args} arguments, got {nargs}")
-                return (fv.kinds[0],) * nargs
-            if nargs != len(fv.kinds):
-                raise ArityError(
-                    f"{fv.name} expects {len(fv.kinds)} arguments, got {nargs}")
-            return fv.kinds
-        if nargs != len(fv.params):
-            raise ArityError(
-                f"function expects {len(fv.params)} arguments, got {nargs}")
-        return tuple(k for k, _ in fv.params)
 
-    def _base_call(self, fv, args):
-        if isinstance(fv, Builtin):
-            return fv.impl(self, list(args))
-        frame = Environment(fv.env)
-        for (_, name), a in zip(fv.params, args):
+def _closure(params, body, env):
+    """The function value of a lambda: `params` are (kind, name) pairs, and
+    a call binds them in a fresh frame over `env` and evaluates `body`."""
+    def impl(ev, args):
+        frame = Environment(env)
+        for (_, name), a in zip(params, args):
             frame.define(name, a)
-        return self.eval(fv.body, frame)
+        return ev.eval(body, frame)
+    return FunctionValue(None, tuple(k for k, _ in params), impl)
 
 
 def _strip_marker(name):
@@ -601,7 +597,11 @@ class Interpreter:
         Definitions yield None."""
         out = []
         for node, start, end in parse_program(text):
-            out.append(((start, end), self.evaluator.eval(node, self.globals)))
+            try:
+                value = self.evaluator.eval(node, self.globals)
+            except RecursionError:
+                raise DepthError(f"line {start}: form recurses too deeply") from None
+            out.append(((start, end), value))
         return out
 
     def eval_source(self, text):

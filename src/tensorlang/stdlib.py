@@ -10,7 +10,7 @@ from .symbolic import (Integer, ScalarExpr, Symbol, add, atom, cos,
                        decide_equal, differentiate, div, expand_and_simplify,
                        mul, numeric_less_than, powi, sin, sub)
 from .tensor import KIND_INVERTED, KIND_SCALAR, KIND_TENSOR, Tensor
-from .values import BraceValue, Builtin, FunctionValue
+from .values import BraceValue, FunctionValue
 
 PRELUDE = """
 (define $min (lambda [$x $y] (if (less-than? x y) x y)))
@@ -29,48 +29,25 @@ def _want_scalar(name, v):
     raise EvalError(f"{name} expects scalar arguments, got {type(v).__name__}")
 
 
-def _scalars(name, args):
-    return [_want_scalar(name, a) for a in args]
-
-
 # --- scalar builtins -----------------------------------------------------------
 
 
-def _impl_add(ev, args):
-    return add(*_scalars("+", args))
-
-
-def _impl_sub(ev, args):
-    return sub(*_scalars("-", args))
-
-
-def _impl_mul(ev, args):
-    return mul(*_scalars("*", args))
-
-
-def _impl_div(ev, args):
-    a, b = _scalars("/", args)
-    return div(a, b)
+def _scalar(name, op, arity=None):
+    """A builtin over scalar operands; `arity` None makes it variadic.  `op`
+    names a global of this module, looked up at each call so that a
+    wrapper installed on that global later (a tracer's) sees every call."""
+    def impl(ev, args):
+        return globals()[op](*[_want_scalar(name, a) for a in args])
+    if arity is None:
+        return FunctionValue(name, (KIND_SCALAR,), impl, variadic=True)
+    return FunctionValue(name, (KIND_SCALAR,) * arity, impl)
 
 
 def _impl_pow(ev, args):
-    a, b = _scalars("^", args)
+    a, b = (_want_scalar("^", x) for x in args)
     if not isinstance(b, Integer):
         raise EvalError("^ expects a literal integer exponent")
     return powi(a, b.value)
-
-
-def _impl_sin(ev, args):
-    return sin(_want_scalar("sin", args[0]))
-
-
-def _impl_cos(ev, args):
-    return cos(_want_scalar("cos", args[0]))
-
-
-def _impl_less_than(ev, args):
-    a, b = _scalars("less-than?", args)
-    return numeric_less_than(a, b)
 
 
 def _impl_eq(ev, args):
@@ -93,11 +70,9 @@ def _impl_partial(ev, args):
 
 
 def _function_arity(f):
-    if isinstance(f, FunctionValue):
-        return len(f.params)
-    if isinstance(f, Builtin):
-        return None if f.variadic else len(f.kinds)
-    raise EvalError("expected a function argument")
+    if not isinstance(f, FunctionValue):
+        raise EvalError("expected a function argument")
+    return None if f.variadic else len(f.kinds)
 
 
 def _require_binary(name, f):
@@ -162,24 +137,14 @@ def _impl_generate_tensor(ev, args):
 
 def _impl_flip(ev, args):
     f = args[0]
-    if isinstance(f, FunctionValue):
-        if len(f.params) != 2:
-            raise ArityError("flip needs a two-argument function")
-        return FunctionValue((f.params[1], f.params[0]), f.body, f.env, name=f.name)
-    if isinstance(f, Builtin):
-        orig = f.impl
-        if f.variadic:
-            # a variadic builtin is usable as binary; flip that specialization
-            if f.min_args > 2:
-                raise ArityError("flip needs a two-argument function")
-            kinds = (f.kinds[0], f.kinds[0])
-        elif len(f.kinds) == 2:
-            kinds = (f.kinds[1], f.kinds[0])
-        else:
-            raise ArityError("flip needs a two-argument function")
-        return Builtin(name=f.name, kinds=kinds,
-                       impl=lambda ev2, a: orig(ev2, [a[1], a[0]]))
-    raise EvalError("flip expects a function")
+    if not isinstance(f, FunctionValue):
+        raise EvalError("flip expects a function")
+    # a variadic function is usable as binary; flip that specialization
+    kinds = f.kinds * 2 if f.variadic else f.kinds
+    if len(kinds) != 2:
+        raise ArityError("flip needs a two-argument function")
+    return FunctionValue(f.name, kinds[::-1],
+                         lambda ev2, a: f.impl(ev2, [a[1], a[0]]))
 
 
 def _matrix_entries(name, t):
@@ -228,30 +193,24 @@ def _impl_mat_inverse(ev, args):
     return tensor.make_tensor((n, n), comps)
 
 
-def _scalar_builtin(name, impl, nargs=None, variadic=False, min_args=2):
-    if variadic:
-        return Builtin(name, (KIND_SCALAR,), impl, variadic=True, min_args=min_args)
-    return Builtin(name, (KIND_SCALAR,) * nargs, impl)
-
-
 BUILTINS = [
-    _scalar_builtin("+", _impl_add, variadic=True, min_args=1),
-    _scalar_builtin("-", _impl_sub, variadic=True, min_args=1),
-    _scalar_builtin("*", _impl_mul, variadic=True, min_args=1),
-    _scalar_builtin("/", _impl_div, nargs=2),
-    _scalar_builtin("^", _impl_pow, nargs=2),
-    _scalar_builtin("sin", _impl_sin, nargs=1),
-    _scalar_builtin("cos", _impl_cos, nargs=1),
-    _scalar_builtin("less-than?", _impl_less_than, nargs=2),
-    _scalar_builtin("eq?", _impl_eq, nargs=2),
-    Builtin("∂/∂", (KIND_SCALAR, KIND_INVERTED), _impl_partial),
-    Builtin("contract", (KIND_TENSOR, KIND_TENSOR), _impl_contract),
-    Builtin("tensor-map", (KIND_TENSOR, KIND_TENSOR), _impl_tensor_map),
-    Builtin("flip-indices", (KIND_TENSOR,), _impl_flip_indices),
-    Builtin("transpose", (KIND_TENSOR, KIND_TENSOR), _impl_transpose),
-    Builtin("generate-tensor", (KIND_TENSOR, KIND_TENSOR), _impl_generate_tensor),
-    Builtin("flip", (KIND_TENSOR,), _impl_flip),
-    Builtin("M.inverse", (KIND_TENSOR,), _impl_mat_inverse),
+    _scalar("+", "add"),
+    _scalar("-", "sub"),
+    _scalar("*", "mul"),
+    _scalar("/", "div", 2),
+    FunctionValue("^", (KIND_SCALAR, KIND_SCALAR), _impl_pow),
+    _scalar("sin", "sin", 1),
+    _scalar("cos", "cos", 1),
+    _scalar("less-than?", "numeric_less_than", 2),
+    FunctionValue("eq?", (KIND_SCALAR, KIND_SCALAR), _impl_eq),
+    FunctionValue("∂/∂", (KIND_SCALAR, KIND_INVERTED), _impl_partial),
+    FunctionValue("contract", (KIND_TENSOR, KIND_TENSOR), _impl_contract),
+    FunctionValue("tensor-map", (KIND_TENSOR, KIND_TENSOR), _impl_tensor_map),
+    FunctionValue("flip-indices", (KIND_TENSOR,), _impl_flip_indices),
+    FunctionValue("transpose", (KIND_TENSOR, KIND_TENSOR), _impl_transpose),
+    FunctionValue("generate-tensor", (KIND_TENSOR, KIND_TENSOR), _impl_generate_tensor),
+    FunctionValue("flip", (KIND_TENSOR,), _impl_flip),
+    FunctionValue("M.inverse", (KIND_TENSOR,), _impl_mat_inverse),
 ]
 
 

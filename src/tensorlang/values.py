@@ -15,22 +15,15 @@ _MISSING = object()
 
 @dataclass
 class FunctionValue:
-    """A closure: parameter kinds and names, a body, a captured environment."""
-    params: tuple  # of (kind, name)
-    body: object  # parsed expression
-    env: "Environment"
-    name: Optional[str] = None
-
-
-@dataclass
-class Builtin:
-    """A host-implemented function.  `kinds` is the per-parameter kind list,
-    or a single kind applied variadically when `variadic` is set."""
-    name: str
+    """A function: its per-parameter kinds (one kind repeated for any
+    count of at least one argument when `variadic` is set) and `impl`,
+    called as `impl(evaluator, args)` on arguments already broadcast
+    over the scalar-kind parameters.  Builtins have a name; closures made
+    by `lambda` or `N#...` have none."""
+    name: Optional[str]
     kinds: tuple
     impl: Callable
     variadic: bool = False
-    min_args: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,9 +105,7 @@ def format_value(v):
         body = _format_slices(v, 0, [])
         return body + "".join(format_index(ix) for ix in v.indices)
     if isinstance(v, FunctionValue):
-        return f"#<function{':' + v.name if v.name else ''}>"
-    if isinstance(v, Builtin):
-        return f"#<builtin:{v.name}>"
+        return f"#<builtin:{v.name}>" if v.name else "#<function>"
     if isinstance(v, BraceValue):
         return "{" + " ".join(format_value(x) for x in v.items) + "}"
     raise EvalError(f"cannot print value: {v!r}")

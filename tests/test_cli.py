@@ -1,8 +1,17 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tensorlang import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+RUNAWAY_RECURSION = "(define $f (lambda [$x] (f x)))\n(f 1)\n"
+DEEP_NESTING = "(" * 3000 + "1" + ")" * 3000 + "\n"
 
 
 def test_run_file_prints_results(tmp_path, capsys):
@@ -63,3 +72,26 @@ def test_repl_session():
     assert "3" in text
     assert "error" in text  # the stray ')' is reported and the prompt continues
     assert "6" in text
+
+
+@pytest.mark.parametrize("program, line", [(RUNAWAY_RECURSION, 2), (DEEP_NESTING, 1)],
+                         ids=["runaway-recursion", "deep-nesting"])
+def test_run_reports_depth_without_traceback(tmp_path, program, line):
+    f = tmp_path / "deep.tl"
+    f.write_text(program, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "tensorlang.cli", "run", str(f)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: DepthError: ")
+    assert f"line {line}" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_repl_continues_after_depth_error():
+    out = io.StringIO()
+    src = RUNAWAY_RECURSION + DEEP_NESTING + "(* 2 3)\n"
+    assert cli.repl(out=out, err=out, in_=io.StringIO(src)) == 0
+    text = out.getvalue()
+    assert text.count("error: DepthError: ") == 2
+    assert text.endswith("> 6\n> \n")

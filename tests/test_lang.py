@@ -149,6 +149,38 @@ class TestApplyFunction:
             run("((lambda [$x $y] x) 1)")
 
 
+class TestCallPath:
+    """Builtins and closures share one application path: the same arity
+    rule, the same `flip`, the same function checks."""
+
+    @pytest.mark.parametrize("src, error, message", [
+        ("(+)", ArityError, "+ expects at least 1 arguments, got 0"),
+        ("(/ 1)", ArityError, "/ expects 2 arguments, got 1"),
+        ("((lambda [$x] x) 1 2)", ArityError, "function expects 1 arguments, got 2"),
+        ("(flip sin)", ArityError, "flip needs a two-argument function"),
+        ("(flip (lambda [$x] x))", ArityError, "flip needs a two-argument function"),
+        ("(flip 3)", EvalError, "flip expects a function"),
+        ("(contract 3 [|1 2|]~_i)", EvalError, "expected a function argument"),
+    ])
+    def test_errors(self, src, error, message):
+        with pytest.raises(error) as info:
+            run(src)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("src, printed", [
+        ("+", "#<builtin:+>"),
+        ("(flip -)", "#<builtin:->"),
+        ("(lambda [$x] x)", "#<function>"),
+        ("1#%1", "#<function>"),
+        ("((flip (lambda [$x $y] (- x y))) 1 5)", "4"),
+        ("((flip -) [|1 2|]_i [|10 20|]_j)", "[|[|9 19|] [|8 18|]|]_i_j"),
+        ("((flip ∂/∂) [|x y|]_i (* x y))", "[|y x|]~i"),
+    ])
+    def test_values(self, src, printed):
+        assert show(src) == printed
+
+
 class TestWithSymbols:
     def test_contract(self):
         assert show("(with-symbols {i} (contract + (* [|1 2 3|]~i [|10 20 30|]_i)))") == "140"
