@@ -28,15 +28,20 @@ def run_file(path, out=None, err=None):
     except OSError as e:
         print(f"error: {e}", file=err)
         return 1
-    interp = Interpreter()
+    return 0 if _print_forms(Interpreter(), text, out, err) else 1
+
+
+def _print_forms(interp, text, out, err):
+    """Print each form's value as the form finishes, and report the first
+    LangError on `err`.  True when every form evaluated."""
     try:
-        for _, value in interp.run_source(text):
+        for _, value in interp.iter_source(text):
             if value is not None:
-                print(format_value(value), file=out)
+                print(format_value(value), file=out, flush=True)
     except LangError as e:
         print(f"error: {type(e).__name__}: {e}", file=err)
-        return 1
-    return 0
+        return False
+    return True
 
 
 def _balanced(text):
@@ -76,12 +81,7 @@ def repl(out=None, err=None, in_=None):
         if not _balanced(buffer):
             prompt = "… "
             continue
-        try:
-            for _, value in interp.run_source(buffer):
-                if value is not None:
-                    print(format_value(value), file=out)
-        except LangError as e:
-            print(f"error: {type(e).__name__}: {e}", file=err)
+        _print_forms(interp, buffer, out, err)
         buffer = ""
         prompt = "> "
 

@@ -80,7 +80,16 @@ def load_cases(directory=None):
 
 
 def _token_texts(s):
-    return [t.text for t in tokenize(s)]
+    """Token texts; a glued atom or head joins the one before it, as in
+    `x_i` and `2#x`, so a detached `x _i` or `2# x` does not match."""
+    texts, prev = [], None
+    for t in tokenize(s):
+        if t.glued and {t.kind, prev} <= {"atom", "head"}:
+            texts[-1] += t.text
+        else:
+            texts.append(t.text)
+        prev = t.kind
+    return texts
 
 
 def _check(value, exp):
@@ -100,13 +109,12 @@ def _check(value, exp):
 
 def run_case(case):
     failures = []
-    expectations = list(case.expectations)
     try:
         evaluated = Interpreter().run_source(case.source)
     except LangError as e:
-        return CaseResult(case, False, len(expectations),
+        return CaseResult(case, False, len(case.expectations),
                           [f"{type(e).__name__}: {e}"])
-    for exp in expectations:
+    for exp in case.expectations:
         target = None
         for (_, end), value in evaluated:
             if end < exp.line:
@@ -115,7 +123,7 @@ def run_case(case):
         if not ok:
             failures.append(
                 f"line {exp.line}: expected {exp.text!r}, got {got!r}")
-    return CaseResult(case, not failures, len(expectations), failures)
+    return CaseResult(case, not failures, len(case.expectations), failures)
 
 
 def run_suite(directory=None, name_filter=None):

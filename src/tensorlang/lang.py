@@ -18,12 +18,24 @@ _MISSING = Environment.MISSING
 
 # --- tokens -------------------------------------------------------------------
 
-_DELIMS = "()[]{}';|"
+# One alternative per token class, tried in order.  An `N#` shorthand head
+# is its own token, and an atom is a base that stops before the first
+# `~`/`_` or an index suffix; so an index chain or a shorthand body is
+# always the next token, glued to the one before it.
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[^\S\n]+)
+  | (?P<comment>;[^\n]*)
+  | (?P<delim>\[\||\|\]|[()\[\]{}'])
+  | (?P<head>[0-9]+\#)
+  | (?P<atom>[^\s~_()\[\]{}';|]+|[~_][^\s()\[\]{}';|]*)
+  | (?P<stray>\|)
+""", re.VERBOSE)
 
 
 @dataclass
 class Token:
-    kind: str  # "(" ")" "[" "]" "{" "}" "[|" "|]" "'" "atom"
+    kind: str  # "(" ")" "[" "]" "{" "}" "[|" "|]" "'" "atom" "head"
     text: str
     line: int
     col: int
@@ -32,60 +44,17 @@ class Token:
 
 def tokenize(text):
     toks = []
-    line, col = 1, 1
-    i = 0
-    glued = False
-
-    def push(kind, s, ln, cl):
-        toks.append(Token(kind, s, ln, cl, glued))
-
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            glued = False
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            glued = False
-            continue
-        if c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            glued = False
-            continue
-        if c == "[" and i + 1 < len(text) and text[i + 1] == "|":
-            push("[|", "[|", line, col)
-            i += 2
-            col += 2
-            glued = True
-            continue
-        if c == "|":
-            if i + 1 < len(text) and text[i + 1] == "]":
-                push("|]", "|]", line, col)
-                i += 2
-                col += 2
-                glued = True
-                continue
+    line, line_start, glued = 1, 0, False
+    for m in _TOKEN_RE.finditer(text):
+        kind, s = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "stray":
             raise ParseError("stray '|'", line, col)
-        if c in "()[]{}'":
-            push(c, c, line, col)
-            i += 1
-            col += 1
-            glued = True
-            continue
-        start = i
-        ln, cl = line, col
-        while i < len(text) and not text[i].isspace() and text[i] not in _DELIMS:
-            if text[i] == "[" and i + 1 < len(text) and text[i + 1] == "|":
-                break
-            i += 1
-            col += 1
-        push("atom", text[start:i], ln, cl)
-        glued = True
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in ("atom", "head", "delim"):
+            toks.append(Token(s if kind == "delim" else kind, s, line, col, glued))
+        glued = kind in ("atom", "head", "delim")
     return toks
 
 
@@ -157,41 +126,19 @@ class ShorthandLambda:
 
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
-_SHORTHAND_RE = re.compile(r"([0-9]+)#(.*)\Z", re.DOTALL)
+_MARK_RE = re.compile(r"(~_(?=[^~_])|~|_)([^~_]*)")
+_VARIANCE_OF = {mark: v for v, mark in tensor.VARIANCE_MARK.items()}
 
 
 def parse_index_chain(s, line, col):
     """Split an index suffix string like '~i_j' or '_#_2' into specs."""
     specs = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        pos = (line, col + i)
-        if c == "~":
-            if i + 1 < len(s) and s[i + 1] == "_" and i + 2 < len(s) and s[i + 2] not in "~_":
-                variance = tensor.SUPSUB
-                i += 2
-            else:
-                variance = tensor.SUP
-                i += 1
-        elif c == "_":
-            variance = tensor.SUB
-            i += 1
-        else:
-            raise ParseError(f"malformed index suffix {s!r}", line, col)
-        j = i
-        while j < len(s) and s[j] not in "~_":
-            j += 1
-        label = s[i:j]
-        i = j
-        if label == "":
-            specs.append(IndexSpecAst(variance, "empty", "", pos))
-        elif label == "#":
-            specs.append(IndexSpecAst(variance, "dummy", "#", pos))
-        elif _INT_RE.match(label):
-            specs.append(IndexSpecAst(variance, "num", label, pos))
-        else:
-            specs.append(IndexSpecAst(variance, "name", label, pos))
+    for m in _MARK_RE.finditer(s):
+        label = m.group(2)
+        kind = ("empty" if label == "" else "dummy" if label == "#"
+                else "num" if _INT_RE.match(label) else "name")
+        specs.append(IndexSpecAst(_VARIANCE_OF[m.group(1)], kind, label,
+                                  (line, col + m.start())))
     return specs
 
 
@@ -229,21 +176,18 @@ class Parser:
         return forms
 
     def parse_expr(self):
-        tok = self.peek()
-        if tok is None:
+        """A primary, then the index chain glued to it, if any."""
+        if self.peek() is None:
             raise ParseError("unexpected end of input", self.last_line, 1)
         node = self._primary()
-        while True:
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "atom" and nxt.glued and nxt.text[0] in "~_":
-                self.advance()
-                specs = parse_index_chain(nxt.text, nxt.line, nxt.col)
-                if isinstance(node, Indexed):
-                    node = Indexed(node.base, node.specs + tuple(specs), node.pos)
-                else:
-                    node = Indexed(node, tuple(specs), (nxt.line, nxt.col))
-            else:
-                return node
+        nxt = self.peek()
+        if nxt is None or not nxt.glued or nxt.text[0] not in "~_":
+            return node
+        self.advance()
+        specs = tuple(parse_index_chain(nxt.text, nxt.line, nxt.col))
+        # an indexed atom keeps the atom's position, an indexed form the chain's
+        at = node.pos if isinstance(node, (Var, NumberLit)) else (nxt.line, nxt.col)
+        return Indexed(node, specs, at)
 
     def _sequence(self, opener, closer, build):
         items = []
@@ -274,48 +218,20 @@ class Parser:
             return Quote(self.parse_expr(), pos)
         if tok.kind == "atom":
             return self._atom(tok)
+        if tok.kind == "head":
+            nxt = self.peek()
+            if nxt is None or not nxt.glued:
+                raise ParseError("shorthand lambda needs an attached body", *pos)
+            return ShorthandLambda(int(tok.text[:-1]), self.parse_expr(), pos)
         raise ParseError(f"unexpected '{tok.text}'", tok.line, tok.col)
 
     def _atom(self, tok):
-        text = tok.text
-        pos = (tok.line, tok.col)
-        if _INT_RE.match(text):
-            return NumberLit(int(text), pos)
-        m = _SHORTHAND_RE.match(text)
-        if m and "~" not in m.group(1) and "_" not in m.group(1):
-            arity = int(m.group(1))
-            rest = m.group(2)
-            if rest:
-                body = self._classify_atom(rest, tok.line, tok.col + len(m.group(1)) + 1)
-            else:
-                nxt = self.peek()
-                if nxt is None or not nxt.glued:
-                    raise ParseError("shorthand lambda needs an attached body",
-                                     tok.line, tok.col)
-                body = self.parse_expr()
-            return ShorthandLambda(arity, body, pos)
+        text, pos = tok.text, (tok.line, tok.col)
         if text[0] in "~_":
-            raise ParseError(f"index suffix {text!r} has no target expression",
-                             tok.line, tok.col)
-        return self._classify_atom(text, tok.line, tok.col)
-
-    def _classify_atom(self, text, line, col):
-        pos = (line, col)
+            raise ParseError(f"index suffix {text!r} has no target expression", *pos)
         if _INT_RE.match(text):
             return NumberLit(int(text), pos)
-        cut = len(text)
-        for i, c in enumerate(text):
-            if c in "~_":
-                cut = i
-                break
-        base, chain = text[:cut], text[cut:]
-        if not base:
-            raise ParseError(f"index suffix {text!r} has no target expression", line, col)
-        node = NumberLit(int(base), pos) if _INT_RE.match(base) else Var(base, pos)
-        if chain:
-            specs = parse_index_chain(chain, line, col + cut)
-            node = Indexed(node, tuple(specs), pos)
-        return node
+        return Var(text, pos)
 
     def _check_special(self, node):
         items = node.items
@@ -575,8 +491,7 @@ def _strip_marker(name):
 
 
 def _sig_text(sig):
-    return "".join({tensor.SUP: "~", tensor.SUB: "_", tensor.SUPSUB: "~_"}[v]
-                   for v in sig)
+    return "".join(tensor.VARIANCE_MARK[v] for v in sig)
 
 
 # --- the interpreter front door -------------------------------------------------
@@ -592,17 +507,19 @@ class Interpreter:
         from . import stdlib
         stdlib.install(self)
 
-    def run_source(self, text):
-        """Evaluate every top-level form; list of (span, value) in order.
-        Definitions yield None."""
-        out = []
+    def iter_source(self, text):
+        """Parse every top-level form, then evaluate them one at a time,
+        yielding (span, value) as each finishes.  Definitions yield None."""
         for node, start, end in parse_program(text):
             try:
                 value = self.evaluator.eval(node, self.globals)
             except RecursionError:
                 raise DepthError(f"line {start}: form recurses too deeply") from None
-            out.append(((start, end), value))
-        return out
+            yield (start, end), value
+
+    def run_source(self, text):
+        """Evaluate every top-level form; list of (span, value) in order."""
+        return list(self.iter_source(text))
 
     def eval_source(self, text):
         """Value of the last top-level form."""

@@ -92,8 +92,3 @@ def riemann(a, b, theta, phi, h=DEFAULT_STEP):
                                for m in range(2))
                     r[i, j, k, l] = dc[k, i, j, l] - dc[l, i, j, k] + quad
     return r
-
-
-def central_difference(f, x, h=DEFAULT_STEP):
-    """Scalar central difference used by the differentiation checks."""
-    return (f(x + h) - f(x - h)) / (2 * h)

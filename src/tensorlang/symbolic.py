@@ -177,6 +177,22 @@ def canonicalize(e):
     return _rebuild(e, [canonicalize(c) for c in _children(e)])
 
 
+def _fold(e, visit):
+    """Post-order fold: `visit(node, folded children)` runs once per
+    distinct node of the DAG under e, children left to right."""
+    if type(e) in (Integer, Rational, Symbol):  # a lone leaf needs no memo
+        return visit(e, [])
+    memo = {}
+    def go(x):
+        k = id(x)  # x stays alive under e, so its id is not reused
+        if k not in memo:
+            if not isinstance(x, ScalarExpr):
+                raise EvalError(f"not a scalar expression: {x!r}")
+            memo[k] = visit(x, [go(c) for c in _children(x)])
+        return memo[k]
+    return go(e)
+
+
 def _children(e):
     t = type(e)
     if t is Sum:
@@ -344,31 +360,24 @@ def cos(e):
 
 def differentiate(e, name):
     """Partial derivative with respect to the symbol called `name`."""
-    return _diff(canonicalize(e), name)
-
-
-def _diff(e, name):
-    if is_numeric(e):
+    def visit(x, d):
+        t = type(x)
+        if t is Symbol:
+            return ONE if x.name == name else ZERO
+        if t is Sum:
+            return add(*d)
+        if t is Product:
+            fs = x.factors
+            return add(*[mul(di, *fs[:i], *fs[i + 1:]) for i, di in enumerate(d)])
+        if t is Power:
+            return mul(from_fraction(x.exponent), _pow(x.base, x.exponent - 1), d[0])
+        if t is Apply:
+            if x.fn == "sin":
+                return mul(cos(x.arg), d[0])
+            return mul(MINUS_ONE, sin(x.arg), d[0])
         return ZERO
-    if isinstance(e, Symbol):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Sum):
-        return add(*[_diff(t, name) for t in e.terms])
-    if isinstance(e, Product):
-        terms = []
-        for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + e.factors[i + 1:]
-            terms.append(mul(_diff(f, name), *rest))
-        return add(*terms)
-    if isinstance(e, Power):
-        return mul(from_fraction(e.exponent), _pow(e.base, e.exponent - 1),
-                   _diff(e.base, name))
-    if isinstance(e, Apply):
-        inner = _diff(e.arg, name)
-        if e.fn == "sin":
-            return mul(cos(e.arg), inner)
-        return mul(MINUS_ONE, sin(e.arg), inner)
-    raise EvalError(f"cannot differentiate {e!r}")
+
+    return _fold(canonicalize(e), visit)
 
 
 # --- substitution and numeric evaluation ------------------------------------
@@ -377,43 +386,37 @@ def _diff(e, name):
 def substitute(e, name, replacement):
     replacement = canonicalize(replacement)
 
-    def go(x):
-        if type(x) is Symbol:
-            return replacement if x.name == name else x
-        return _rebuild(x, [go(c) for c in _children(x)])
+    def visit(x, kids):
+        if type(x) is Symbol and x.name == name:
+            return replacement
+        return _rebuild(x, kids)
 
-    return go(canonicalize(e))
+    return _fold(canonicalize(e), visit)
 
 
 def free_symbols(e):
-    if type(e) is Symbol:
-        return {e.name}
-    return set().union(*map(free_symbols, _children(e)))
+    return _fold(e, lambda x, kids: {x.name} if type(x) is Symbol else set().union(*kids))
 
 
 def eval_numeric(e, env):
     """IEEE double evaluation; every free symbol must be bound in `env`."""
-    if isinstance(e, Integer):
-        return float(e.value)
-    if isinstance(e, Rational):
-        return e.numerator / e.denominator
-    if isinstance(e, Symbol):
-        if e.name not in env:
-            raise EvalError(f"unbound symbol in numeric evaluation: {e.name}")
-        return float(env[e.name])
-    if isinstance(e, Sum):
-        return math.fsum(eval_numeric(t, env) for t in e.terms)
-    if isinstance(e, Product):
-        r = 1.0
-        for f in e.factors:
-            r *= eval_numeric(f, env)
-        return r
-    if isinstance(e, Power):
-        return eval_numeric(e.base, env) ** e.exponent
-    if isinstance(e, Apply):
-        x = eval_numeric(e.arg, env)
-        return math.sin(x) if e.fn == "sin" else math.cos(x)
-    raise EvalError(f"not a scalar expression: {e!r}")
+    def visit(x, v):
+        t = type(x)
+        if t is Integer or t is Rational:
+            return float(_value(x))
+        if t is Symbol:
+            if x.name not in env:
+                raise EvalError(f"unbound symbol in numeric evaluation: {x.name}")
+            return float(env[x.name])
+        if t is Sum:
+            return math.fsum(v)
+        if t is Product:
+            return math.prod(v, start=1.0)
+        if t is Power:
+            return v[0] ** x.exponent
+        return math.sin(v[0]) if x.fn == "sin" else math.cos(v[0])
+
+    return _fold(e, visit)
 
 
 # --- expansion and the Pythagorean rewrite ----------------------------------
@@ -423,35 +426,33 @@ def expand_and_simplify(e):
     """Distribute products over sums, collect like terms, and apply
     sin^2(u) + cos^2(u) -> 1 wherever the two terms share coefficient
     and remaining factors."""
-    return _pythagoras(_expand(canonicalize(e)))
+    return _pythagoras(_fold(canonicalize(e), _expand_visit))
 
 
 def _terms_of(e):
     return list(e.terms) if isinstance(e, Sum) else [e]
 
 
-def _expand(e):
-    if is_numeric(e) or isinstance(e, Symbol):
-        return e
-    if isinstance(e, Apply):
-        return _apply(e.fn, _pythagoras(_expand(e.arg)))
-    if isinstance(e, Power):
-        base = _pythagoras(_expand(e.base))
-        if e.exponent > 1 and isinstance(base, Sum):
+def _expand_visit(e, kids):
+    t = type(e)
+    if t is Apply:
+        return _apply(e.fn, _pythagoras(kids[0]))
+    if t is Power:
+        base = _pythagoras(kids[0])
+        if e.exponent > 1 and type(base) is Sum:
             acc = base
             for _ in range(e.exponent - 1):
                 acc = add(*[mul(a, b) for a in _terms_of(acc) for b in _terms_of(base)])
             return acc
         return _pow(base, e.exponent)
-    if isinstance(e, Sum):
-        return add(*[_expand(t) for t in e.terms])
-    if isinstance(e, Product):
+    if t is Sum:
+        return add(*kids)
+    if t is Product:
         combos = [ONE]
-        for f in e.factors:
-            fe = _expand(f)
-            combos = [mul(c, t) for c in combos for t in _terms_of(fe)]
+        for fe in kids:
+            combos = [mul(c, u) for c in combos for u in _terms_of(fe)]
         return add(*combos)
-    raise EvalError(f"not a scalar expression: {e!r}")
+    return e
 
 
 def _monomial(mono):
@@ -518,23 +519,20 @@ def _merge_one_pair(terms):
 # --- printing ---------------------------------------------------------------
 
 
+_FORMAT = {
+    Integer: lambda e, kids: str(e.value),
+    Rational: lambda e, kids: f"(/ {e.numerator} {e.denominator})",
+    Symbol: lambda e, kids: e.name,
+    Sum: lambda e, kids: "(+ " + " ".join(kids) + ")",
+    Product: lambda e, kids: "(* " + " ".join(kids) + ")",
+    Power: lambda e, kids: f"(^ {kids[0]} {e.exponent})",
+    Apply: lambda e, kids: f"({e.fn} {kids[0]})",
+}
+
+
 def format_scalar(e):
     """Prefix S-expression form, e.g. (* -1 r (sin θ))."""
-    if isinstance(e, Integer):
-        return str(e.value)
-    if isinstance(e, Rational):
-        return f"(/ {e.numerator} {e.denominator})"
-    if isinstance(e, Symbol):
-        return e.name
-    if isinstance(e, Sum):
-        return "(+ " + " ".join(format_scalar(t) for t in e.terms) + ")"
-    if isinstance(e, Product):
-        return "(* " + " ".join(format_scalar(f) for f in e.factors) + ")"
-    if isinstance(e, Power):
-        return f"(^ {format_scalar(e.base)} {e.exponent})"
-    if isinstance(e, Apply):
-        return f"({e.fn} {format_scalar(e.arg)})"
-    raise EvalError(f"not a scalar expression: {e!r}")
+    return _fold(e, lambda x, kids: _FORMAT[type(x)](x, kids))
 
 
 # --- comparisons used by the language builtins ------------------------------

@@ -17,6 +17,7 @@ from .errors import (BoundsError, BroadcastError, DimensionMismatchError,
                      EvalError, RankError, ShapeError)
 
 SUP, SUB, SUPSUB = 1, -1, 0
+VARIANCE_MARK = {SUP: "~", SUB: "_", SUPSUB: "~_"}  # as written in source
 
 KIND_SCALAR = "scalar"
 KIND_TENSOR = "tensor"

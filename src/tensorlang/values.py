@@ -82,8 +82,7 @@ def format_label(label):
 def format_index(ix):
     if ix is None:
         return ""
-    mark = {tensor.SUP: "~", tensor.SUB: "_", tensor.SUPSUB: "~_"}[ix.variance]
-    return mark + format_label(ix.label)
+    return tensor.VARIANCE_MARK[ix.variance] + format_label(ix.label)
 
 
 def _format_slices(t, axis, multi):

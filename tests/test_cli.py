@@ -14,6 +14,14 @@ RUNAWAY_RECURSION = "(define $f (lambda [$x] (f x)))\n(f 1)\n"
 DEEP_NESTING = "(" * 3000 + "1" + ")" * 3000 + "\n"
 
 
+def run_cli(tmp_path, program):
+    f = tmp_path / "prog.tl"
+    f.write_text(program, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "tensorlang.cli", "run", str(f)],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def test_run_file_prints_results(tmp_path, capsys):
     f = tmp_path / "prog.tl"
     f.write_text("(+ 1 2)\n(define $x 5)\n(* x 2)\n", encoding="utf-8")
@@ -77,15 +85,23 @@ def test_repl_session():
 @pytest.mark.parametrize("program, line", [(RUNAWAY_RECURSION, 2), (DEEP_NESTING, 1)],
                          ids=["runaway-recursion", "deep-nesting"])
 def test_run_reports_depth_without_traceback(tmp_path, program, line):
-    f = tmp_path / "deep.tl"
-    f.write_text(program, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-m", "tensorlang.cli", "run", str(f)],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = run_cli(tmp_path, program)
     assert done.returncode == 1
     assert done.stderr.startswith("error: DepthError: ")
     assert f"line {line}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_run_prints_values_before_a_later_error(tmp_path):
+    done = run_cli(tmp_path, "(+ 1 2)\n" + RUNAWAY_RECURSION)
+    assert done.stdout == "3\n"
+    assert done.stderr.startswith("error: DepthError: ")
+    assert done.returncode == 1
+
+
+def test_run_reads_unicode_whitespace(tmp_path):
+    done = run_cli(tmp_path, "(+ 1\u00a02)\n")
+    assert (done.stdout, done.stderr, done.returncode) == ("3\n", "", 0)
 
 
 def test_repl_continues_after_depth_error():

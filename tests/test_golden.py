@@ -50,3 +50,12 @@ def test_whitespace_insensitive_tokens(tmp_path):
                  encoding="utf-8")
     (result,) = golden.run_suite(directory=tmp_path)
     assert result.passed
+
+
+def test_detached_suffix_or_body_is_not_the_glued_form():
+    # a detached index chain or shorthand body is a different program
+    texts = golden._token_texts
+    assert texts("x _i") != texts("x_i") == ["x_i"]
+    assert texts("2# x") != texts("2#x") == ["2#x"]
+    assert texts("(f 2#3#y~i_j)") == ["(", "f", "2#3#y~i_j", ")"]
+    assert texts("[| 10  40 |]_i") == texts("[|10 40|]_i")

@@ -1,10 +1,13 @@
+import io
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorlang import Interpreter, format_value
-from tensorlang import lang
-from tensorlang.errors import ArityError, EvalError, ParseError
+from tensorlang import cli, lang
+from tensorlang.errors import ArityError, DepthError, EvalError, ParseError
 from tensorlang.lang import (BraceList, Indexed, ListForm, NumberLit,
                              ShorthandLambda, TensorLit, Var, parse_forms)
 from tensorlang.symbolic import Integer, Symbol
@@ -35,6 +38,64 @@ class TestTokenizer:
         toks = lang.tokenize("[|1|]_i [|2|] _j")
         assert toks[3].glued is True  # _i hugs |]
         assert toks[-1].glued is False
+
+
+# whitespace the reader once looped forever on: form feed, vertical tab,
+# no-break space, line separator
+ODD_SPACES = ["\f", "\v", "\u00a0", "\u2028"]
+
+# source text heavy in whitespace, delimiters and the index-notation marks
+READER_TEXT = st.text(alphabet="()[]{}'|;~_#%$*-0129xyΓ \t\r\n\f\v\u00a0\u2003\u2028\x85",
+                      max_size=40)
+
+
+def tokens_or_none(text):
+    try:
+        return lang.tokenize(text)
+    except ParseError:
+        return None
+
+
+class TestReaderTermination:
+    @pytest.mark.parametrize("space", ODD_SPACES, ids=["ff", "vt", "nbsp", "ls"])
+    def test_tokenize_and_parse_treat_it_as_whitespace(self, space):
+        toks = lang.tokenize(f"(+ 1{space}2)")
+        assert [t.text for t in toks] == ["(", "+", "1", "2", ")"]
+        assert toks[3].glued is False
+        (node,) = parse_forms(f"(+{space}1 2){space}")
+        assert [getattr(n, "value", None) for n in node.items] == [None, 1, 2]
+
+    @pytest.mark.parametrize("space", ODD_SPACES, ids=["ff", "vt", "nbsp", "ls"])
+    def test_repl_evaluates_it(self, space):
+        out = io.StringIO()
+        assert cli.repl(out=out, err=out, in_=io.StringIO(f"(+ 1{space}2)\n")) == 0
+        assert out.getvalue().endswith("> 3\n> \n")
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(READER_TEXT)
+    def test_any_text_tokenizes_and_parses_or_raises(self, text):
+        try:
+            lang.tokenize(text)
+        except ParseError:
+            pass
+        try:
+            lang.parse_program(text)
+        except (ParseError, DepthError):
+            pass
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(READER_TEXT)
+    def test_every_token_sits_at_its_position(self, text):
+        lines = text.split("\n")
+        for tok in tokens_or_none(text) or ():
+            assert lines[tok.line - 1][tok.col - 1:].startswith(tok.text)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(READER_TEXT)
+    def test_tokens_spell_the_source_without_comments_and_whitespace(self, text):
+        toks = tokens_or_none(text)
+        if toks is not None:
+            assert "".join(t.text for t in toks) == re.sub(r";[^\n]*|\s", "", text)
 
 
 class TestParser:

@@ -65,8 +65,3 @@ def test_christoffel_first_symmetry():
     a, b, th, ph = random_point()
     c1 = oracle.christoffel_first(a, b, th, ph)
     assert np.allclose(c1, np.swapaxes(c1, 1, 2), atol=1e-7)
-
-
-def test_central_difference_helper():
-    got = oracle.central_difference(math.sin, 0.7)
-    assert abs(got - math.cos(0.7)) < 1e-9
