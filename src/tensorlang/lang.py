@@ -283,7 +283,7 @@ class Evaluator:
     # value of a node in an environment
     def eval(self, node, env):
         if isinstance(node, NumberLit):
-            return symbolic.atom(node.value)
+            return symbolic.Integer(node.value)
         if isinstance(node, Var):
             return self._var(node, env)
         if isinstance(node, Indexed):
@@ -313,7 +313,7 @@ class Evaluator:
             raise EvalError(
                 f"variable {node.name} is only bound with index signatures; "
                 f"reference it with indices (line {node.pos[0]})")
-        return symbolic.atom(node.name)
+        return symbolic.Symbol(node.name)
 
     def _indexed(self, node, env):
         specs = node.specs
@@ -437,7 +437,7 @@ class Evaluator:
         local_names = set()
         for n in names:
             local = f"{n}%{next(self._local_ids)}"
-            frame.define(n, symbolic.atom(local))
+            frame.define(n, symbolic.Symbol(local))
             local_names.add(local)
         return self._strip_locals(self.eval(body, frame), local_names)
 
@@ -454,7 +454,7 @@ class Evaluator:
             return tensor.make_tensor(val.shape, comps, new_ix)
         if isinstance(val, symbolic.ScalarExpr):
             for name in symbolic.free_symbols(val) & local_names:
-                repl = symbolic.atom(f"#{next(self._local_ids)}")
+                repl = symbolic.Symbol(f"#{next(self._local_ids)}")
                 val = symbolic.substitute(val, name, repl)
             return val
         return val

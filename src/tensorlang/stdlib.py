@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from . import symbolic, tensor
 from .errors import ArityError, EvalError, SingularMatrixError
-from .symbolic import (Integer, ScalarExpr, Symbol, add, atom, cos,
-                       decide_equal, differentiate, div, expand_and_simplify,
-                       mul, numeric_less_than, powi, sin, sub)
+from .symbolic import (Integer, ScalarExpr, Symbol, add, cos, decide_equal,
+                       differentiate, div, expand_and_simplify, mul,
+                       numeric_less_than, powi, sin, sub)
 from .tensor import KIND_INVERTED, KIND_SCALAR, KIND_TENSOR, Tensor
 from .values import BraceValue, FunctionValue
 
@@ -132,7 +132,7 @@ def _impl_generate_tensor(ev, args):
         raise ArityError(
             f"generator takes {arity} arguments but {len(sizes)} dimensions given")
     return tensor.generate_tensor(
-        lambda multi: ev.call(f, [atom(i) for i in multi]), sizes)
+        lambda multi: ev.call(f, [Integer(i) for i in multi]), sizes)
 
 
 def _impl_flip(ev, args):

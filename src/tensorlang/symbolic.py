@@ -7,17 +7,18 @@ fixed total order, repeated factors are merged into integer powers, and
 like terms are combined with rational coefficients.  Quotients are
 represented as products with negative powers.
 
-Canonical by construction: the smart constructors (`add`, `mul`, `div`,
-`powi`, `sin`, `cos`, `atom`, `from_fraction`) return interned nodes, one
-shared object per canonical structure, marked `canonical`.  Every node
-caches its hash and its sort key when it is built, so `sort_key` is a
-field read and `canonicalize` returns an engine-built node as it is.
-Calling a node class directly (`Sum((x, y))`) builds a plain tree with
-no normalization; `canonicalize` turns it into the interned form.
+One kind of node: every node is interned, one shared object per
+canonical structure, so identity is equality.  Calling a node class is
+calling its smart constructor (`Sum((x, y))` is `add(x, y)`,
+`Rational(6, 4)` is `from_fraction(Fraction(3, 2))`), and every node
+caches its sort key when it is built, so `sort_key` is a field read and
+`canonicalize` has nothing left to walk.
 
 The intern table is module-global and keeps its nodes for the life of the
-module.  Equality and hashing are structural, so results stay correct if
-two threads race to intern one structure; only the sharing is lost.
+module.  Racing threads still get one node per structure: the table's
+keys hold only classes, ints, strings, and nodes (alone or in tuples)
+compared by identity, so hashing and comparing them run no Python code
+and `setdefault` is atomic.
 """
 
 from __future__ import annotations
@@ -33,35 +34,11 @@ _key = attrgetter("key")
 
 
 class ScalarExpr:
-    """An immutable expression node.  `key` orders nodes by variant tag,
-    then structurally; `canonical` is set only on interned nodes."""
+    """An immutable interned expression node.  `key` orders nodes by
+    variant tag, then structurally."""
 
-    __slots__ = ("key", "_hash", "canonical")
+    __slots__ = ("key",)
     tag = None
-
-    def __init__(self, *values):
-        key, hashed = [self.tag], [self.tag]
-        for name, v in zip(self.__slots__, values):
-            if isinstance(v, tuple):
-                key.append(tuple(map(_key, v)))
-                hashed += map(hash, v)
-            else:
-                key.append(v.key if isinstance(v, ScalarExpr) else v)
-                hashed.append(hash(v))
-            object.__setattr__(self, name, v)
-        for name, v in (("key", tuple(key)), ("_hash", hash(tuple(hashed))),
-                        ("canonical", False)):
-            object.__setattr__(self, name, v)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ScalarExpr):
-            return NotImplemented
-        return self._hash == other._hash and self.key == other.key
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -75,35 +52,58 @@ class Integer(ScalarExpr):
     __slots__ = ("value",)
     tag = 0
 
+    def __new__(cls, value):
+        return _make(cls, value)
+
 
 class Rational(ScalarExpr):
     __slots__ = ("numerator", "denominator")
     tag = 1
+
+    def __new__(cls, numerator, denominator):
+        if denominator == 0:
+            raise DivisionByZeroError("rational with zero denominator")
+        return from_fraction(Fraction(numerator, denominator))
 
 
 class Symbol(ScalarExpr):
     __slots__ = ("name",)
     tag = 2
 
+    def __new__(cls, name):
+        return _make(cls, name)
+
 
 class Power(ScalarExpr):
     __slots__ = ("base", "exponent")  # exponent is an int
     tag = 3
+
+    def __new__(cls, base, exponent):
+        return _pow(base, exponent)
 
 
 class Apply(ScalarExpr):
     __slots__ = ("fn", "arg")  # fn is "sin" or "cos"
     tag = 4
 
+    def __new__(cls, fn, arg):
+        return _apply(fn, arg)
+
 
 class Sum(ScalarExpr):
     __slots__ = ("terms",)
     tag = 5
 
+    def __new__(cls, terms):
+        return add(*terms)
+
 
 class Product(ScalarExpr):
     __slots__ = ("factors",)
     tag = 6
+
+    def __new__(cls, factors):
+        return mul(*factors)
 
 
 _interned = {}  # (class, *fields) -> the canonical node with those fields
@@ -114,15 +114,22 @@ def _make(cls, *fields):
     k = (cls, *fields)
     node = _interned.get(k)
     if node is None:
-        node = cls(*fields)
-        object.__setattr__(node, "canonical", True)
+        node = object.__new__(cls)
+        key = [cls.tag]
+        for name, v in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, v)
+            if isinstance(v, tuple):
+                key.append(tuple(map(_key, v)))
+            else:
+                key.append(v.key if isinstance(v, ScalarExpr) else v)
+        object.__setattr__(node, "key", tuple(key))
         node = _interned.setdefault(k, node)
     return node
 
 
-ZERO = _make(Integer, 0)
-ONE = _make(Integer, 1)
-MINUS_ONE = _make(Integer, -1)
+ZERO = Integer(0)
+ONE = Integer(1)
+MINUS_ONE = Integer(-1)
 
 
 def is_numeric(e):
@@ -147,11 +154,6 @@ def from_fraction(q):
     return _make(Rational, q.numerator, q.denominator)
 
 
-def atom(x):
-    """The Integer of an int, or the Symbol named by a string."""
-    return _make(Integer, x) if isinstance(x, int) else _make(Symbol, x)
-
-
 def sort_key(e):
     """Total order on expressions: variant tag, then structural recursion.
     Cached on the node when it is built."""
@@ -162,19 +164,11 @@ def sort_key(e):
 
 
 def canonicalize(e):
-    """Normalize an arbitrarily built expression tree.  Idempotent; an
-    engine-built node comes back as it is."""
-    if getattr(e, "canonical", False):
-        return e
-    if type(e) is Rational and e.denominator == 0:
-        raise DivisionByZeroError("rational with zero denominator")
-    if is_numeric(e):
-        return from_fraction(_value(e))
-    if type(e) is Symbol:
-        return atom(e.name)
+    """Every node is built canonical, so this only checks that e is a
+    scalar expression, and returns it."""
     if not isinstance(e, ScalarExpr):
         raise EvalError(f"not a scalar expression: {e!r}")
-    return _rebuild(e, [canonicalize(c) for c in _children(e)])
+    return e
 
 
 def _fold(e, visit):
@@ -311,14 +305,12 @@ def _sum(terms):
 
 
 def add(*es):
-    es = [canonicalize(e) for e in es]
     if all(type(e) is Integer for e in es):
         return _make(Integer, sum(e.value for e in es))
     return _sum(es)
 
 
 def mul(*es):
-    es = [canonicalize(e) for e in es]
     if all(type(e) is Integer for e in es):
         return _make(Integer, math.prod(e.value for e in es))
     return _product(es)
@@ -335,7 +327,6 @@ def sub(first, *rest):
 
 
 def div(a, b):
-    b = canonicalize(b)
     if b == ZERO:
         raise DivisionByZeroError("division by zero")
     if is_numeric(b):
@@ -344,15 +335,15 @@ def div(a, b):
 
 
 def powi(a, n):
-    return _pow(canonicalize(a), n)
+    return _pow(a, n)
 
 
 def sin(e):
-    return _make(Apply, "sin", canonicalize(e))
+    return _make(Apply, "sin", e)
 
 
 def cos(e):
-    return _make(Apply, "cos", canonicalize(e))
+    return _make(Apply, "cos", e)
 
 
 # --- differentiation --------------------------------------------------------
@@ -377,21 +368,19 @@ def differentiate(e, name):
             return mul(MINUS_ONE, sin(x.arg), d[0])
         return ZERO
 
-    return _fold(canonicalize(e), visit)
+    return _fold(e, visit)
 
 
 # --- substitution and numeric evaluation ------------------------------------
 
 
 def substitute(e, name, replacement):
-    replacement = canonicalize(replacement)
-
     def visit(x, kids):
         if type(x) is Symbol and x.name == name:
             return replacement
         return _rebuild(x, kids)
 
-    return _fold(canonicalize(e), visit)
+    return _fold(e, visit)
 
 
 def free_symbols(e):
@@ -426,7 +415,7 @@ def expand_and_simplify(e):
     """Distribute products over sums, collect like terms, and apply
     sin^2(u) + cos^2(u) -> 1 wherever the two terms share coefficient
     and remaining factors."""
-    return _pythagoras(_fold(canonicalize(e), _expand_visit))
+    return _pythagoras(_fold(e, _expand_visit))
 
 
 def _terms_of(e):

@@ -85,15 +85,6 @@ def format_index(ix):
     return tensor.VARIANCE_MARK[ix.variance] + format_label(ix.label)
 
 
-def _format_slices(t, axis, multi):
-    if axis == t.rank:
-        return format_value(tensor.component_at(t, tuple(multi)))
-    parts = []
-    for i in range(1, t.shape[axis] + 1):
-        parts.append(_format_slices(t, axis + 1, multi + [i]))
-    return "[|" + " ".join(parts) + "|]"
-
-
 def format_value(v):
     """Render a runtime value the way source notation writes it."""
     if isinstance(v, symbolic.ScalarExpr):
@@ -101,8 +92,12 @@ def format_value(v):
     if isinstance(v, bool):
         return "#t" if v else "#f"
     if isinstance(v, Tensor):
-        body = _format_slices(v, 0, [])
-        return body + "".join(format_index(ix) for ix in v.indices)
+        # format each row-major component once, then group innermost axis first
+        parts = [format_value(c) for c in v.components]
+        for d in reversed(v.shape):
+            parts = ["[|" + " ".join(parts[i:i + d]) + "|]"
+                     for i in range(0, len(parts), d)]
+        return parts[0] + "".join(format_index(ix) for ix in v.indices)
     if isinstance(v, FunctionValue):
         return f"#<builtin:{v.name}>" if v.name else "#<function>"
     if isinstance(v, BraceValue):

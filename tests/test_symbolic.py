@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 
 import pytest
 
 from tensorlang import Interpreter, cli, symbolic as s
+from tensorlang.errors import DivisionByZeroError, EvalError
 from tensorlang.symbolic import (Apply, Integer, Power, Product, Rational,
                                  Sum, Symbol)
 
@@ -167,7 +170,6 @@ class TestEvalNumeric:
         assert s.eval_numeric(e, {"a": 1, "b": 3, "θ": 0}) == 4.0
 
     def test_unbound_symbol(self):
-        from tensorlang.errors import EvalError
         with pytest.raises(EvalError):
             s.eval_numeric(x, {})
 
@@ -195,8 +197,7 @@ class TestCanonicalEqualityCongruence:
 class TestInterning:
     def test_cached_keys_order_like_the_reference(self):
         rng = random.Random(13)
-        # a bare leaf comes back class-built; everything else is engine-built
-        exprs = [s.canonicalize(random_scalar_expr(rng)) for _ in range(200)]
+        exprs = [random_scalar_expr(rng) for _ in range(200)]
         nodes = [n for e in exprs for n in subterms(e)]
         assert sorted(nodes, key=s.sort_key) == sorted(nodes, key=reference_sort_key)
         for _ in range(2000):
@@ -211,8 +212,9 @@ class TestInterning:
 
     def test_class_built_trees_are_interned_by_canonicalize(self):
         e = Sum((y, Product((Integer(2), x))))
-        assert not e.canonical
-        assert s.canonicalize(e) is s.add(s.mul(x, Integer(2)), y)
+        assert e is s.add(s.mul(x, Integer(2)), y)
+        assert s.canonicalize(e) is e
+        assert Sum((x, Sum((y, Integer(1))))) is s.add(x, y, Integer(1))
 
     def test_second_torus_run_interns_no_new_nodes(self):
         program = cli.TORUS_PROGRAM.read_text(encoding="utf-8")
@@ -220,3 +222,53 @@ class TestInterning:
         size = len(s._interned)
         Interpreter().run_source(program)
         assert len(s._interned) == size
+
+
+class TestOneKindOfNode:
+    def test_class_calls_are_the_smart_constructors(self):
+        rng = random.Random(29)
+        exprs = [random_scalar_expr(rng) for _ in range(300)]
+        for a in exprs:
+            b = rng.choice(exprs)
+            assert Sum((a, b)) is s.add(a, b)
+            assert Product((a, b)) is s.mul(a, b)
+            if a is not s.ZERO:
+                n = rng.choice((-2, -1, 0, 1, 2, 3))
+                assert Power(a, n) is s.powi(a, n)
+            assert Apply("cos", a) is s.cos(a)
+            assert Apply("sin", a) is s.sin(a)
+            p, q = rng.randint(-9, 9), rng.choice((-6, -4, -1, 1, 2, 3, 6))
+            assert Rational(p, q) is s.div(Integer(p), Integer(q))
+
+    def test_invalid_class_calls_raise_language_errors(self):
+        with pytest.raises(DivisionByZeroError):
+            Rational(1, 0)
+        with pytest.raises(DivisionByZeroError):
+            Power(Integer(0), 0)
+        with pytest.raises(EvalError):
+            Apply("tan", x)
+        with pytest.raises(EvalError):
+            s.canonicalize(5)
+
+    def test_racing_threads_get_one_node_per_structure(self):
+        names = ("race_u", "race_v", "race_w")  # not interned by any other test
+        results = [[] for _ in range(8)]
+
+        def build(out):
+            rng = random.Random(31)
+            out.extend(random_scalar_expr(rng, names) for _ in range(2000))
+
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(out) for out in results] == [2000] * 8
+        for built in zip(*results):
+            assert all(e is built[0] for e in built)
