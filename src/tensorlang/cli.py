@@ -5,6 +5,7 @@ numeric oracle."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import sys
@@ -14,7 +15,6 @@ from . import golden, oracle
 from .errors import LangError, ParseError
 from .lang import Interpreter, tokenize
 from .symbolic import eval_numeric, expand_and_simplify, ZERO
-from .tensor import component_at
 from .values import format_value
 
 TORUS_PROGRAM = golden.CORPUS_DIR / "torus.tl"
@@ -103,72 +103,52 @@ def run_golden(name_filter=None, out=None):
 # --- torus demo -----------------------------------------------------------------
 
 
-def _symbolic_curvature(interp):
-    """Component accessors for g, both connection tensors, and R.  Each
-    tensor is evaluated once through an ordinary indexed reference."""
-    def grab(ref):
-        t = interp.eval_source(ref)
-        return lambda *idx: component_at(t, idx)
-    return grab("g_i_j"), grab("Γ_i_j_k"), grab("Γ~i_j_k"), grab("R~i_j_k_l")
+# The four R~i_j_k_l positions the torus's curvature leaves nonzero.
+_NONZERO_R = ((1, 2, 1, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 1, 2, 1))
 
 
-def _agree(sym_val, orc_val, rel=1e-4):
-    return abs(sym_val - orc_val) <= rel * max(1.0, abs(sym_val), abs(orc_val))
+def _positions(t):
+    """The 1-based multi-indices of t's components, in row-major order."""
+    return itertools.product(*[range(1, d + 1) for d in t.shape])
 
 
 def demo_torus(seed=1234, samples=20, out=None):
     out = out if out is not None else sys.stdout
     interp = Interpreter()
     interp.run_source(TORUS_PROGRAM.read_text(encoding="utf-8"))
-    g_at, c1_at, c2_at, r_at = _symbolic_curvature(interp)
+    # (label, tensor, oracle) for the metric, both connections and the curvature
+    checks = [(label, interp.eval_source(ref), reference) for label, ref, reference in (
+        ("g", "g_i_j", oracle.metric), ("Γ1", "Γ_i_j_k", oracle.christoffel_first),
+        ("Γ2", "Γ~i_j_k", oracle.christoffel_second), ("R", "R~i_j_k_l", oracle.riemann))]
+    riemann = checks[-1][1]
+    peak = dict.fromkeys(_positions(riemann), 0.0)  # largest |R| seen per position
 
     rng = random.Random(seed)
     worst = 0.0
     failures = []
-    zero_bound = 0.0
-    nonzero_seen = {(1, 2, 1, 2): 0.0, (1, 2, 2, 1): 0.0,
-                    (2, 1, 1, 2): 0.0, (2, 1, 2, 1): 0.0}
-
     for trial in range(samples):
         a = rng.uniform(0.5, 1.5)
         b = a + rng.uniform(0.5, 2.5)
         theta = rng.uniform(0.0, 2 * math.pi)
         phi = rng.uniform(0.0, 2 * math.pi)
         env = {"a": a, "b": b, "θ": theta, "φ": phi}
+        for label, t, reference in checks:
+            expected = reference(a, b, theta, phi)
+            for pos, c in zip(_positions(t), t.components):
+                sym_val = eval_numeric(c, env)
+                orc_val = expected[tuple(i - 1 for i in pos)]
+                scale = max(1.0, abs(sym_val), abs(orc_val))
+                worst = max(worst, abs(sym_val - orc_val) / scale)
+                if not abs(sym_val - orc_val) <= 1e-4 * scale:
+                    failures.append(f"trial {trial}: {label}_{''.join(map(str, pos))} "
+                                    f"symbolic={sym_val!r} oracle={orc_val!r}")
+                if t is riemann:
+                    peak[pos] = max(peak[pos], abs(sym_val))
 
-        og = oracle.metric(a, b, theta, phi)
-        oc1 = oracle.christoffel_first(a, b, theta, phi)
-        oc2 = oracle.christoffel_second(a, b, theta, phi)
-        orr = oracle.riemann(a, b, theta, phi)
-
-        def compare(label, sym_val, orc_val):
-            nonlocal worst
-            gap = abs(sym_val - orc_val) / max(1.0, abs(sym_val), abs(orc_val))
-            worst = max(worst, gap)
-            if not _agree(sym_val, orc_val):
-                failures.append(
-                    f"trial {trial}: {label} symbolic={sym_val!r} oracle={orc_val!r}")
-
-        for i in (1, 2):
-            for j in (1, 2):
-                compare(f"g_{i}{j}", eval_numeric(g_at(i, j), env), og[i - 1, j - 1])
-                for k in (1, 2):
-                    compare(f"Γ1_{i}{j}{k}",
-                            eval_numeric(c1_at(i, j, k), env), oc1[i - 1, j - 1, k - 1])
-                    compare(f"Γ2_{i}{j}{k}",
-                            eval_numeric(c2_at(i, j, k), env), oc2[i - 1, j - 1, k - 1])
-                    for l in (1, 2):
-                        sym_val = eval_numeric(r_at(i, j, k, l), env)
-                        compare(f"R_{i}{j}{k}{l}", sym_val, orr[i - 1, j - 1, k - 1, l - 1])
-                        if k == l:
-                            zero_bound = max(zero_bound, abs(sym_val))
-                        if (i, j, k, l) in nonzero_seen:
-                            nonzero_seen[(i, j, k, l)] = max(
-                                nonzero_seen[(i, j, k, l)], abs(sym_val))
-
-    structurally_nonzero = all(
-        expand_and_simplify(r_at(i, j, k, l)) != ZERO and peak > 1e-4
-        for (i, j, k, l), peak in nonzero_seen.items())
+    zero_bound = max(v for (i, j, k, l), v in peak.items() if k == l)
+    r_at = dict(zip(_positions(riemann), riemann.components))
+    structurally_nonzero = all(expand_and_simplify(r_at[pos]) != ZERO and peak[pos] > 1e-4
+                               for pos in _NONZERO_R)
     zeros_ok = zero_bound <= 1e-6
 
     print(f"torus demo: {samples} random bindings (seed {seed})", file=out)

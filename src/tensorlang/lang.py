@@ -419,10 +419,7 @@ class Evaluator:
         if kinds == {"empty"}:
             env.define(base, self.eval(body, env), signature=sig)
         elif kinds == {"name"}:
-            # desugars to with-symbols over the index names plus a transpose
-            labels = BraceList(tuple(Var(s.text, s.pos) for s in specs), node.pos)
-            wrapped = ListForm((Var("transpose", node.pos), labels, body), node.pos)
-            value = self.eval_with_symbols([s.text for s in specs], wrapped, env)
+            value = self.eval_with_symbols([s.text for s in specs], body, env, ordered=True)
             env.define(base, value, signature=sig)
         else:
             raise EvalError(
@@ -432,14 +429,18 @@ class Evaluator:
 
     # --- with-symbols ---------------------------------------------------------
 
-    def eval_with_symbols(self, names, body, env):
+    def eval_with_symbols(self, names, body, env, ordered=False):
+        """Evaluate body with each name bound to a fresh local symbol; axes
+        labelled by a local symbol then become fresh dummies.  `ordered`
+        (an indexed definition) first puts the axes in the order of names."""
         frame = Environment(env)
-        local_names = set()
-        for n in names:
-            local = f"{n}%{next(self._local_ids)}"
-            frame.define(n, symbolic.Symbol(local))
-            local_names.add(local)
-        return self._strip_locals(self.eval(body, frame), local_names)
+        local = {n: f"{n}%{next(self._local_ids)}" for n in names}
+        for n, name in local.items():
+            frame.define(n, symbolic.Symbol(name))
+        value = self.eval(body, frame)
+        if ordered:
+            value = tensor.transpose([SymbolLabel(local[n]) for n in names], value)
+        return self._strip_locals(value, set(local.values()))
 
     def _strip_locals(self, val, local_names):
         if isinstance(val, Tensor):

@@ -79,7 +79,7 @@ class Power(ScalarExpr):
     tag = 3
 
     def __new__(cls, base, exponent):
-        return _pow(base, exponent)
+        return powi(base, exponent)
 
 
 class Apply(ScalarExpr):
@@ -155,8 +155,7 @@ def from_fraction(q):
 
 
 def sort_key(e):
-    """Total order on expressions: variant tag, then structural recursion.
-    Cached on the node when it is built."""
+    """Total order on expressions, cached on each node when it is built."""
     return e.key
 
 
@@ -164,8 +163,13 @@ def sort_key(e):
 
 
 def canonicalize(e):
-    """Every node is built canonical, so this only checks that e is a
-    scalar expression, and returns it."""
+    """Every node is built canonical: this only checks e is a scalar."""
+    return _scalar(e)
+
+
+def _scalar(e):
+    """e, when it is a scalar expression.  Each public entry point checks
+    here the arguments it puts into a new node, once."""
     if not isinstance(e, ScalarExpr):
         raise EvalError(f"not a scalar expression: {e!r}")
     return e
@@ -180,11 +184,9 @@ def _fold(e, visit):
     def go(x):
         k = id(x)  # x stays alive under e, so its id is not reused
         if k not in memo:
-            if not isinstance(x, ScalarExpr):
-                raise EvalError(f"not a scalar expression: {x!r}")
             memo[k] = visit(x, [go(c) for c in _children(x)])
         return memo[k]
-    return go(e)
+    return go(_scalar(e))  # the children of a node are nodes
 
 
 def _children(e):
@@ -217,7 +219,7 @@ def _rebuild(e, children):
 def _apply(fn, arg):
     if fn not in ("sin", "cos"):
         raise EvalError(f"unknown function symbol: {fn}")
-    return _make(Apply, fn, arg)
+    return _make(Apply, fn, _scalar(arg))
 
 
 def _pow(base, n):
@@ -246,7 +248,7 @@ def _product(factors):
     coeff = 1
     powers = {}  # base -> exponent
     for f in factors:
-        for g in f.factors if type(f) is Product else (f,):
+        for g in f.factors if type(f) is Product else (_scalar(f),):
             if type(g) is Integer or type(g) is Rational:
                 coeff *= _value(g)
             elif type(g) is Power:
@@ -277,24 +279,20 @@ def _split_term(t):
     return 1, t
 
 
+def _factors(m):
+    return m.factors if type(m) is Product else (m,)
+
+
 def _sum(terms):
     """Canonical sum of canonical terms."""
-    const = 0
-    by_mono = {}  # monomial -> coefficient
+    by_mono = {}  # monomial (None for the constant) -> coefficient
     for t in terms:
-        for u in t.terms if type(t) is Sum else (t,):
+        for u in t.terms if type(t) is Sum else (_scalar(t),):
             coeff, mono = _split_term(u)
-            if mono is None:
-                const += coeff
-            else:
-                by_mono[mono] = by_mono.get(mono, 0) + coeff
-    parts = []
-    for mono, coeff in by_mono.items():
-        if coeff == 1:
-            parts.append(mono)
-        elif coeff != 0:  # mono is never a Sum here, so there is nothing to distribute
-            factors = mono.factors if type(mono) is Product else (mono,)
-            parts.append(_make(Product, (from_fraction(coeff), *factors)))
+            by_mono[mono] = by_mono.get(mono, 0) + coeff
+    const = by_mono.pop(None, 0)
+    parts = [mono if coeff == 1 else _make(Product, (from_fraction(coeff), *_factors(mono)))
+             for mono, coeff in by_mono.items() if coeff != 0]  # mono is never a Sum
     parts.sort(key=_key)
     if const != 0 or not parts:
         parts.insert(0, from_fraction(const))
@@ -321,29 +319,25 @@ def neg(e):
 
 
 def sub(first, *rest):
-    if not rest:
-        return neg(first)
-    return add(first, *[neg(r) for r in rest])
+    return add(first, *map(neg, rest)) if rest else neg(first)
 
 
 def div(a, b):
     if b == ZERO:
         raise DivisionByZeroError("division by zero")
-    if is_numeric(b):
-        return mul(a, from_fraction(1 / as_fraction(b)))
-    return mul(a, _pow(b, -1))
+    return mul(a, powi(b, -1))
 
 
 def powi(a, n):
-    return _pow(a, n)
+    return _pow(_scalar(a), n)
 
 
 def sin(e):
-    return _make(Apply, "sin", e)
+    return _apply("sin", e)
 
 
 def cos(e):
-    return _make(Apply, "cos", e)
+    return _apply("cos", e)
 
 
 # --- differentiation --------------------------------------------------------
@@ -375,6 +369,8 @@ def differentiate(e, name):
 
 
 def substitute(e, name, replacement):
+    _scalar(replacement)
+
     def visit(x, kids):
         if type(x) is Symbol and x.name == name:
             return replacement
@@ -418,8 +414,13 @@ def expand_and_simplify(e):
     return _pythagoras(_fold(e, _expand_visit))
 
 
-def _terms_of(e):
-    return list(e.terms) if isinstance(e, Sum) else [e]
+def _distribute(factors):
+    """Multiply out, collecting after each factor: a power of a sum stays small."""
+    acc = ONE
+    for f in factors:
+        acc = add(*[mul(c, u) for c in (acc.terms if type(acc) is Sum else (acc,))
+                    for u in (f.terms if type(f) is Sum else (f,))])
+    return acc
 
 
 def _expand_visit(e, kids):
@@ -429,80 +430,57 @@ def _expand_visit(e, kids):
     if t is Power:
         base = _pythagoras(kids[0])
         if e.exponent > 1 and type(base) is Sum:
-            acc = base
-            for _ in range(e.exponent - 1):
-                acc = add(*[mul(a, b) for a in _terms_of(acc) for b in _terms_of(base)])
-            return acc
+            return _distribute([base] * e.exponent)
         return _pow(base, e.exponent)
     if t is Sum:
         return add(*kids)
     if t is Product:
-        combos = [ONE]
-        for fe in kids:
-            combos = [mul(c, u) for c in combos for u in _terms_of(fe)]
-        return add(*combos)
+        return _distribute(kids)
     return e
 
 
-def _monomial(mono):
-    """Monomial as {base: exponent}; mono may be None."""
-    out = {}
-    if mono is None:
-        return out
-    for f in mono.factors if isinstance(mono, Product) else (mono,):
-        if isinstance(f, Power):
-            out[f.base] = f.exponent
-        else:
-            out[f] = 1
-    return out
-
-
 def _pythagoras(e):
-    if not isinstance(e, Sum):
-        return e
-    terms = [[coeff, _monomial(mono)] for coeff, mono in map(_split_term, e.terms)]
-    while _merge_one_pair(terms):
-        # re-collect equal monomials before the next scan
-        collected = {}
-        for c, m in terms:
-            key = frozenset(m.items())
-            if key in collected:
-                collected[key][0] += c
-            else:
-                collected[key] = [c, m]
-        terms = [[c, m] for c, m in collected.values() if c != 0]
-    return add(*[mul(from_fraction(c), *[_pow(b, x) for b, x in m.items()])
-                 for c, m in terms])
+    """Merge pairs of terms c1·p·sin²u, c2·p·cos²u of one sign until none is
+    left: a, the coefficient of smaller magnitude, moves from both onto a·p.
+    Each scan reads e's terms in order, then merged terms in order made."""
+    order = []  # monomials in scan order; the constant never pairs, so it is left out
+    while type(e) is Sum:
+        coeff = {m: c for c, m in map(_split_term, e.terms) if m is not None}
+        order = list(dict.fromkeys([m for m in order if m in coeff] + list(coeff)))
+        pair = next(_pairs(order, coeff), None)
+        if pair is None:
+            break
+        a, m, s, partner = pair
+        e = add(e, mul(from_fraction(a), m, _pow(s, -2)),
+                mul(from_fraction(-a), m), mul(from_fraction(-a), partner))
+    return e
 
 
-def _merge_one_pair(terms):
-    """Find the first pair c1·m·sin²u, c2·m·cos²u with c1, c2 of one sign,
-    move the smaller coefficient onto a new term m, and report whether
-    there was one."""
-    index = {}
-    for i, (c, m) in enumerate(terms):
-        index.setdefault(frozenset(m.items()), []).append(i)
-    for i, (c1, m1) in enumerate(terms):
-        for base, exp in m1.items():
-            if not (isinstance(base, Apply) and base.fn == "sin" and exp >= 2):
-                continue
-            merged = dict(m1)
-            merged[base] = exp - 2
-            if exp == 2:
-                del merged[base]
-            partner = dict(merged)
-            cosb = _make(Apply, "cos", base.arg)
-            partner[cosb] = partner.get(cosb, 0) + 2
-            for j in index.get(frozenset(partner.items()), []):
-                c2 = terms[j][0]
-                if j == i or c1 * c2 <= 0:
-                    continue
-                amount = c1 if abs(c1) <= abs(c2) else c2
-                terms[i][0] -= amount
-                terms[j][0] -= amount
-                terms.append([amount, merged])
-                return True
-    return False
+def _pairs(order, coeff):
+    """Each (a, m, sin u, partner) in scan order: m holds sin(u)^n, n >= 2,
+    and a is whichever of their coefficients is smaller in magnitude."""
+    for m in order:
+        for f in _factors(m):
+            if (type(f) is Power and f.exponent >= 2
+                    and type(f.base) is Apply and f.base.fn == "sin"):
+                partner = _partner(m, f.base)
+                c1, c2 = coeff[m], coeff.get(partner, 0)
+                if c1 * c2 > 0:
+                    yield (c1 if abs(c1) <= abs(c2) else c2), m, f.base, partner
+
+
+def _partner(m, s):
+    """The monomial m·cos²u/sin²u (s is sin u) if it is interned, as every
+    term of a sum is; None if not, or if its cos u cancels: that never pairs."""
+    c = _interned.get((Apply, "cos", s.arg))
+    exps = dict((g.base, g.exponent) if type(g) is Power else (g, 1) for g in _factors(m))
+    exps[s] -= 2
+    exps[c] = exps.get(c, 0) + 2
+    parts = [b if n == 1 else _interned.get((Power, b, n)) for b, n in exps.items() if n != 0]
+    if exps[c] == 0 or None in parts:
+        return None
+    parts.sort(key=_key)
+    return parts[0] if len(parts) == 1 else _interned.get((Product, tuple(parts)))
 
 
 # --- printing ---------------------------------------------------------------
@@ -535,9 +513,7 @@ def numeric_less_than(a, b):
 
 
 def decide_equal(a, b):
-    if is_numeric(a) and is_numeric(b):
-        return as_fraction(a) == as_fraction(b)
-    if a == b:
-        return True
+    if a is b or is_numeric(a) and is_numeric(b):
+        return a is b  # numbers are interned too
     raise ComparisonError(
         f"cannot decide equality of symbolic values: {format_scalar(a)} vs {format_scalar(b)}")

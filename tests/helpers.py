@@ -162,3 +162,66 @@ def values_close(e1, e2, rng, names=("x", "y", "z"), trials=100, tol=1e-9):
         if not (abs(v1 - v2) <= tol * (1 + max(abs(v1), abs(v2)))):
             return False
     return True
+
+
+def reference_pythagoras(e):
+    """The dict-based Pythagorean rewrite the engine ran before it merged
+    canonical terms: each term becomes (coefficient, {base: exponent}), a
+    frozenset index finds partners, like terms are re-collected by hand
+    after each merge, and the sum is rebuilt at the end.  The engine's
+    rewrite must return the very same node."""
+    if not isinstance(e, symbolic.Sum):
+        return e
+    terms = [[coeff, _reference_monomial(mono)]
+             for coeff, mono in map(symbolic._split_term, e.terms)]
+    while _reference_merge_one_pair(terms):
+        collected = {}
+        for c, m in terms:
+            key = frozenset(m.items())
+            if key in collected:
+                collected[key][0] += c
+            else:
+                collected[key] = [c, m]
+        terms = [[c, m] for c, m in collected.values() if c != 0]
+    return symbolic.add(*[
+        symbolic.mul(symbolic.from_fraction(c), *[symbolic.powi(b, x) for b, x in m.items()])
+        for c, m in terms])
+
+
+def _reference_monomial(mono):
+    out = {}
+    if mono is None:
+        return out
+    for f in mono.factors if isinstance(mono, symbolic.Product) else (mono,):
+        if isinstance(f, symbolic.Power):
+            out[f.base] = f.exponent
+        else:
+            out[f] = 1
+    return out
+
+
+def _reference_merge_one_pair(terms):
+    index = {}
+    for i, (c, m) in enumerate(terms):
+        index.setdefault(frozenset(m.items()), []).append(i)
+    for i, (c1, m1) in enumerate(terms):
+        for base, exp in m1.items():
+            if not (isinstance(base, symbolic.Apply) and base.fn == "sin" and exp >= 2):
+                continue
+            merged = dict(m1)
+            merged[base] = exp - 2
+            if exp == 2:
+                del merged[base]
+            partner = dict(merged)
+            cosb = symbolic.cos(base.arg)
+            partner[cosb] = partner.get(cosb, 0) + 2
+            for j in index.get(frozenset(partner.items()), []):
+                c2 = terms[j][0]
+                if j == i or c1 * c2 <= 0:
+                    continue
+                amount = c1 if abs(c1) <= abs(c2) else c2
+                terms[i][0] -= amount
+                terms[j][0] -= amount
+                terms.append([amount, merged])
+                return True
+    return False

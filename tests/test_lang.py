@@ -289,6 +289,14 @@ class TestDefine:
         """)
         assert out == Integer(3)
 
+    @pytest.mark.parametrize("src, printed", [
+        ("(define $transpose (lambda [%a %b] 0))\n"
+         "(define $A_i_j [|[|1 2|] [|3 4|]|]_j_i)\nA_i_j", "[|[|1 3|] [|2 4|]|]_i_j"),
+        ("(define $transpose 5)\n(define $B_i [|1 2|]_i)\nB_i", "[|1 2|]_i"),
+    ])
+    def test_indexed_definition_ignores_a_user_transpose(self, src, printed):
+        assert show(src) == printed
+
     def test_unindexed_reference_to_signed_variable(self):
         with pytest.raises(EvalError):
             run("(define $g__ [|[|1 2|] [|3 4|]|]) g")

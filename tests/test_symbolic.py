@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,8 @@ from tensorlang.errors import DivisionByZeroError, EvalError
 from tensorlang.symbolic import (Apply, Integer, Power, Product, Rational,
                                  Sum, Symbol)
 
-from helpers import (random_binding, random_scalar_expr, reference_sort_key,
-                     subterms, values_close)
+from helpers import (random_binding, random_scalar_expr, reference_pythagoras,
+                     reference_sort_key, subterms, values_close)
 
 x, y, r, th = Symbol("x"), Symbol("y"), Symbol("r"), Symbol("θ")
 
@@ -157,6 +158,70 @@ class TestExpandAndSimplify:
             e = random_scalar_expr(rng)
             assert values_close(e, s.expand_and_simplify(e), rng, trials=25)
 
+    def test_no_pair_when_the_partner_would_lose_its_cosine(self):
+        # a·sin²θ·cos⁻²θ + a: the partner a has no cos θ to pair on
+        a = Symbol("a")
+        e = s.add(s.mul(a, s.powi(s.sin(th), 2), s.powi(s.cos(th), -2)), a)
+        assert s.expand_and_simplify(e) is e
+
+    def test_a_merged_term_is_scanned_after_the_surviving_terms(self):
+        # the first merge makes x·sin²θ·cos²θ; it sorts before x·sin⁴θ, but
+        # the reference scans it last, so x·sin⁴θ pairs with it first
+        sn, cs = s.sin(th), s.cos(th)
+        e = s.add(s.mul(x, s.powi(sn, 4), s.powi(cs, 2)), s.mul(x, s.powi(sn, 2), s.powi(cs, 4)),
+                  s.mul(x, s.powi(cs, 4)), s.mul(x, s.powi(sn, 4)))
+        assert s._pythagoras(e) is reference_pythagoras(e)
+        assert s._pythagoras(e) is s.add(s.mul(x, s.powi(cs, 4)), s.mul(x, s.powi(sn, 2)))
+
+    def test_rewrite_is_the_reference_rewrite_on_merge_chains(self):
+        # 3-6 same-sign terms x·sin(θ)^(2i)·cos(θ)^(2j): merges chain, and
+        # each merged term may sort before terms the reference scans first
+        rng = random.Random(1702)
+        for _ in range(2000):
+            sign = rng.choice((1, -1))
+            e = s.add(*[s.mul(s.from_fraction(Fraction(sign * rng.choice((1, 1, 2, 3)))), x,
+                              s.powi(s.sin(th), 2 * rng.randint(0, 3)),
+                              s.powi(s.cos(th), 2 * rng.randint(0, 2)))
+                        for _ in range(rng.randint(3, 6))])
+            assert s._pythagoras(e) is reference_pythagoras(e)
+
+    def test_partner_lookups_make_no_nodes(self):
+        a = Symbol("pythagoras_fresh")  # not interned by any other test
+        e = s.add(s.mul(a, s.powi(s.sin(th), 4)), s.mul(a, s.powi(s.cos(th), 2)))
+        before = len(s._interned)
+        assert s._pythagoras(e) is e
+        assert len(s._interned) == before
+
+    def test_rewrite_is_the_reference_rewrite_on_seeded_pairs(self):
+        rng = random.Random(1702)
+        a, b, ph = Symbol("a"), Symbol("b"), Symbol("φ")
+        args = (th, ph, s.add(th, ph), s.mul(Integer(2), th))
+        monos = (Integer(1), a, s.mul(a, b), s.powi(b, -1), s.powi(a, 2))
+        coeffs = (1, 2, 3, Fraction(1, 2), Fraction(5, 3))
+
+        def term(c, m, u, k, l):
+            return s.mul(s.from_fraction(Fraction(c)), m,
+                         s.powi(s.sin(u), k), s.powi(s.cos(u), l))
+
+        for _ in range(3000):
+            # c1·m·sin(u)^(k+2)·cos(u)^l and c2·m·sin(u)^k·cos(u)^(l+2), one sign
+            u, m, k, l = rng.choice(args), rng.choice(monos), rng.randint(0, 2), rng.randint(0, 2)
+            sign = rng.choice((1, -1))
+            pair = (term(sign * rng.choice(coeffs), m, u, k + 2, l),
+                    term(sign * rng.choice(coeffs), m, u, k, l + 2))
+            paired = {s._split_term(t)[1] for t in pair}
+            extra = []
+            for _ in range(rng.randint(0, 4)):
+                t = term(rng.choice((1, -1)) * rng.choice(coeffs), rng.choice(monos),
+                         rng.choice(args), rng.randint(0, 4), rng.randint(0, 4))
+                if s._split_term(t)[1] not in paired:  # keep the pair's coefficients
+                    extra.append(t)
+            e = s.add(*pair, *extra)
+            merged = s._pythagoras(e)
+            assert merged is not e
+            assert merged is reference_pythagoras(e)
+            assert s.expand_and_simplify(merged) is merged
+
 
 class TestEvalNumeric:
     def test_rational(self):
@@ -249,6 +314,16 @@ class TestOneKindOfNode:
             Apply("tan", x)
         with pytest.raises(EvalError):
             s.canonicalize(5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: s.add(x, 5), lambda: s.mul(x, "y"), lambda: s.mul(Integer(0), "y"),
+        lambda: s.sub(x, 5),
+        lambda: s.sin(5), lambda: s.cos("a"), lambda: s.powi(5, 2), lambda: s.div(x, 5),
+        lambda: s.substitute(x, "x", 5),
+    ], ids=["add", "mul", "mul-zero", "sub", "sin", "cos", "powi", "div", "substitute"])
+    def test_non_scalar_arguments_raise_language_errors(self, call):
+        with pytest.raises(EvalError, match="not a scalar expression"):
+            call()
 
     def test_racing_threads_get_one_node_per_structure(self):
         names = ("race_u", "race_v", "race_w")  # not interned by any other test
