@@ -163,17 +163,16 @@ class Parser:
             raise ParseError(f"unbalanced '{opener.kind}'", opener.line, opener.col)
         return tok
 
-    def parse_program(self):
-        """Top-level forms with their (start_line, end_line) spans."""
-        forms = []
+    def forms(self):
+        """Top-level forms with their (start_line, end_line) spans, each
+        yielded as soon as it is parsed."""
         while self.peek() is not None:
             start = self.peek().line
             try:
                 node = self.parse_expr()
             except RecursionError:
                 raise DepthError(f"line {start}: form nests too deeply") from None
-            forms.append((node, start, self.last_line))
-        return forms
+            yield node, start, self.last_line
 
     def parse_expr(self):
         """A primary, then the index chain glued to it, if any."""
@@ -266,7 +265,7 @@ class Parser:
 
 
 def parse_program(text):
-    return Parser(text).parse_program()
+    return list(Parser(text).forms())
 
 
 def parse_forms(text):
@@ -419,8 +418,12 @@ class Evaluator:
         if kinds == {"empty"}:
             env.define(base, self.eval(body, env), signature=sig)
         elif kinds == {"name"}:
-            value = self.eval_with_symbols([s.text for s in specs], body, env, ordered=True)
-            env.define(base, value, signature=sig)
+            names = [s.text for s in specs]
+            defining = (f"{base}{''.join(tensor.VARIANCE_MARK[s.variance] + s.text for s in specs)}"
+                        f" (line {node.pos[0]})")
+            if len(set(names)) < len(names):
+                raise EvalError(f"indexed definition {defining} repeats an index name")
+            env.define(base, self.eval_with_symbols(names, body, env, defining), signature=sig)
         else:
             raise EvalError(
                 f"define target must use all-symbolic or all-bare indices "
@@ -429,17 +432,25 @@ class Evaluator:
 
     # --- with-symbols ---------------------------------------------------------
 
-    def eval_with_symbols(self, names, body, env, ordered=False):
+    def eval_with_symbols(self, names, body, env, defining=None):
         """Evaluate body with each name bound to a fresh local symbol; axes
-        labelled by a local symbol then become fresh dummies.  `ordered`
-        (an indexed definition) first puts the axes in the order of names."""
+        labelled by a local symbol then become fresh dummies.  `defining`
+        (an indexed definition's target and line, distinct names) first puts
+        the axes in the order of names."""
         frame = Environment(env)
         local = {n: f"{n}%{next(self._local_ids)}" for n in names}
         for n, name in local.items():
             frame.define(n, symbolic.Symbol(name))
         value = self.eval(body, frame)
-        if ordered:
-            value = tensor.transpose([SymbolLabel(local[n]) for n in names], value)
+        if defining:
+            order = [SymbolLabel(local[n]) for n in names]
+            if not isinstance(value, Tensor):
+                raise EvalError(f"indexed definition {defining} needs a tensor value")
+            labels = [ix.label if ix else None for ix in value.indices]
+            if len(labels) != len(order) or set(labels) != set(order):
+                raise EvalError(f"indexed definition {defining}: the value's indices "
+                                f"are not {' '.join(names)} in some order")
+            value = tensor.transpose(order, value)
         return self._strip_locals(value, set(local.values()))
 
     def _strip_locals(self, val, local_names):
@@ -509,18 +520,23 @@ class Interpreter:
         stdlib.install(self)
 
     def iter_source(self, text):
-        """Parse every top-level form, then evaluate them one at a time,
-        yielding (span, value) as each finishes.  Definitions yield None."""
-        for node, start, end in parse_program(text):
+        """Evaluate the top-level forms one at a time, each as soon as it is
+        parsed, yielding (span, value) as each finishes: the values before a
+        syntax error come out before it is raised.  Definitions yield None."""
+        return self._evaluate(Parser(text).forms())
+
+    def run_source(self, text):
+        """Parse the whole program, then evaluate every top-level form, so a
+        syntax error anywhere runs no form; list of (span, value) in order."""
+        return list(self._evaluate(parse_program(text)))
+
+    def _evaluate(self, forms):
+        for node, start, end in forms:
             try:
                 value = self.evaluator.eval(node, self.globals)
             except RecursionError:
                 raise DepthError(f"line {start}: form recurses too deeply") from None
             yield (start, end), value
-
-    def run_source(self, text):
-        """Evaluate every top-level form; list of (span, value) in order."""
-        return list(self.iter_source(text))
 
     def eval_source(self, text):
         """Value of the last top-level form."""

@@ -6,10 +6,12 @@ derivative (Christoffel symbols from the metric, curvature from the
 Christoffel symbols).  Nothing is shared with the symbolic engine, so an
 agreement between the two pipelines checks both.
 
-The metric is evaluated in closed form and cross-checked at every call
-against the dot products of finite-difference basis vectors of the
-embedding; chaining a third level of finite differences all the way down
-from the embedding would amplify roundoff beyond the demo tolerance.
+Every function takes scalars or equal-shaped arrays with one entry per
+binding: a result's leading axes are the bindings' and its last axes are
+the tensor's.  The metric is evaluated in closed form and cross-checked at
+every binding against the dot products of finite-difference basis vectors
+of the embedding; chaining a third level of finite differences all the way
+down from the embedding would amplify roundoff beyond the demo tolerance.
 """
 
 from __future__ import annotations
@@ -22,48 +24,44 @@ DEFAULT_STEP = 1e-5
 def embedding(a, b, theta, phi):
     """Point of the torus with tube radius a and center radius b."""
     w = a * np.cos(theta) + b
-    return np.array([w * np.cos(phi), w * np.sin(phi), a * np.sin(theta)])
+    return np.stack([w * np.cos(phi), w * np.sin(phi), a * np.sin(theta)], axis=-1)
 
 
 def basis_fd(a, b, theta, phi, h=DEFAULT_STEP):
     """Rows are the coordinate basis vectors, by central differences."""
-    e = np.zeros((2, 3))
-    e[0] = (embedding(a, b, theta + h, phi) - embedding(a, b, theta - h, phi)) / (2 * h)
-    e[1] = (embedding(a, b, theta, phi + h) - embedding(a, b, theta, phi - h)) / (2 * h)
-    return e
+    return np.stack([embedding(a, b, theta + h, phi) - embedding(a, b, theta - h, phi),
+                     embedding(a, b, theta, phi + h) - embedding(a, b, theta, phi - h)],
+                    axis=-2) / (2 * h)
 
 
 def metric_fd(a, b, theta, phi, h=DEFAULT_STEP):
     e = basis_fd(a, b, theta, phi, h)
-    return e @ e.T
+    return e @ np.swapaxes(e, -1, -2)
 
 
 def metric(a, b, theta, phi):
     """Closed-form torus metric diag(a^2, (a cosθ + b)^2)."""
-    g = np.array([[a * a, 0.0], [0.0, (a * np.cos(theta) + b) ** 2]])
-    fd = metric_fd(a, b, theta, phi)
-    if not np.allclose(g, fd, rtol=0, atol=1e-7 * (1 + abs(b) + abs(a)) ** 2):
+    w = a * np.cos(theta) + b
+    g = np.zeros(np.shape(w) + (2, 2))
+    g[..., 0, 0] = a * a
+    g[..., 1, 1] = w * w
+    gap = np.abs(g - metric_fd(a, b, theta, phi)).max(axis=(-2, -1))
+    if not np.all(gap <= 1e-7 * (1 + np.abs(b) + np.abs(a)) ** 2):
         raise AssertionError("closed-form metric disagrees with finite differences")
     return g
 
 
 def _metric_partials(a, b, theta, phi, h):
     """dg[k][i][j] = d g_ij / d x^k with x = (θ, φ)."""
-    dg = np.zeros((2, 2, 2))
-    dg[0] = (metric(a, b, theta + h, phi) - metric(a, b, theta - h, phi)) / (2 * h)
-    dg[1] = (metric(a, b, theta, phi + h) - metric(a, b, theta, phi - h)) / (2 * h)
-    return dg
+    return np.stack([metric(a, b, theta + h, phi) - metric(a, b, theta - h, phi),
+                     metric(a, b, theta, phi + h) - metric(a, b, theta, phi - h)],
+                    axis=-3) / (2 * h)
 
 
 def christoffel_first(a, b, theta, phi, h=DEFAULT_STEP):
     """C1[i][j][k] = (d_k g_ij + d_j g_ik - d_i g_jk) / 2."""
     dg = _metric_partials(a, b, theta, phi, h)
-    c1 = np.zeros((2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                c1[i, j, k] = 0.5 * (dg[k, i, j] + dg[j, i, k] - dg[i, j, k])
-    return c1
+    return 0.5 * (np.einsum("...kij->...ijk", dg) + np.einsum("...jik->...ijk", dg) - dg)
 
 
 def christoffel_second(a, b, theta, phi, h=DEFAULT_STEP):
@@ -71,24 +69,23 @@ def christoffel_second(a, b, theta, phi, h=DEFAULT_STEP):
     g = metric(a, b, theta, phi)
     c1 = christoffel_first(a, b, theta, phi, h)
     inv = np.linalg.inv(g)
-    return np.einsum("ij,jkl->ikl", inv, c1)
+    return np.einsum("...ij,...jkl->...ikl", inv, c1)
 
 
 def riemann(a, b, theta, phi, h=DEFAULT_STEP):
     """R[i][j][k][l] = d_k C2[i][j][l] - d_l C2[i][j][k]
                      + C2[m][j][l] C2[i][m][k] - C2[m][j][k] C2[i][m][l]."""
     c2 = christoffel_second(a, b, theta, phi, h)
-    dc = np.zeros((2, 2, 2, 2))
-    dc[0] = (christoffel_second(a, b, theta + h, phi, h)
-             - christoffel_second(a, b, theta - h, phi, h)) / (2 * h)
-    dc[1] = (christoffel_second(a, b, theta, phi + h, h)
-             - christoffel_second(a, b, theta, phi - h, h)) / (2 * h)
-    r = np.zeros((2, 2, 2, 2))
+    dc = np.stack([christoffel_second(a, b, theta + h, phi, h)
+                   - christoffel_second(a, b, theta - h, phi, h),
+                   christoffel_second(a, b, theta, phi + h, h)
+                   - christoffel_second(a, b, theta, phi - h, h)], axis=-4) / (2 * h)
+    r = np.zeros_like(dc)
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    quad = sum(c2[m, j, l] * c2[i, m, k] - c2[m, j, k] * c2[i, m, l]
-                               for m in range(2))
-                    r[i, j, k, l] = dc[k, i, j, l] - dc[l, i, j, k] + quad
+                    quad = sum(c2[..., m, j, l] * c2[..., i, m, k]
+                               - c2[..., m, j, k] * c2[..., i, m, l] for m in range(2))
+                    r[..., i, j, k, l] = dc[..., k, i, j, l] - dc[..., l, i, j, k] + quad
     return r

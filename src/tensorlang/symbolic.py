@@ -19,6 +19,12 @@ module.  Racing threads still get one node per structure: the table's
 keys hold only classes, ints, strings, and nodes (alone or in tuples)
 compared by identity, so hashing and comparing them run no Python code
 and `setdefault` is atomic.
+
+Every walk over expressions is one memoized post-order fold over the
+shared DAG of its roots, so a node is visited once however many roots
+reach it.  `eval_numeric_many` uses this to evaluate many expressions at
+many bindings: each distinct node becomes one column of floats, with the
+same float operations per binding as `eval_numeric`.
 """
 
 from __future__ import annotations
@@ -175,18 +181,19 @@ def _scalar(e):
     return e
 
 
-def _fold(e, visit):
+def _fold(roots, visit):
     """Post-order fold: `visit(node, folded children)` runs once per
-    distinct node of the DAG under e, children left to right."""
-    if type(e) in (Integer, Rational, Symbol):  # a lone leaf needs no memo
-        return visit(e, [])
+    distinct node of the DAG under all the roots, children left to right.
+    The list of the roots' values, in order."""
+    if len(roots) == 1 and type(roots[0]) in (Integer, Rational, Symbol):
+        return [visit(roots[0], [])]  # a lone leaf needs no memo
     memo = {}
     def go(x):
-        k = id(x)  # x stays alive under e, so its id is not reused
+        k = id(x)  # x stays alive under a root, so its id is not reused
         if k not in memo:
             memo[k] = visit(x, [go(c) for c in _children(x)])
         return memo[k]
-    return go(_scalar(e))  # the children of a node are nodes
+    return [go(_scalar(e)) for e in roots]  # the children of a node are nodes
 
 
 def _children(e):
@@ -362,7 +369,7 @@ def differentiate(e, name):
             return mul(MINUS_ONE, sin(x.arg), d[0])
         return ZERO
 
-    return _fold(e, visit)
+    return _fold([e], visit)[0]
 
 
 # --- substitution and numeric evaluation ------------------------------------
@@ -376,32 +383,43 @@ def substitute(e, name, replacement):
             return replacement
         return _rebuild(x, kids)
 
-    return _fold(e, visit)
+    return _fold([e], visit)[0]
 
 
 def free_symbols(e):
-    return _fold(e, lambda x, kids: {x.name} if type(x) is Symbol else set().union(*kids))
+    return _fold([e], lambda x, kids: {x.name} if type(x) is Symbol else set().union(*kids))[0]
 
 
 def eval_numeric(e, env):
     """IEEE double evaluation; every free symbol must be bound in `env`."""
+    return eval_numeric_many([e], [env])[0][0]
+
+
+def eval_numeric_many(exprs, envs):
+    """IEEE double evaluation of every expression at every binding: row i
+    holds exprs[i] at each of envs, in order.  Each distinct node of the
+    shared DAG is evaluated once, as a column of floats over all bindings.
+    Each entry comes from its own binding's operands alone, by `math.fsum`,
+    `math.prod` from 1.0, `** n`, sin or cos, so it does not depend on how
+    many bindings are evaluated together."""
     def visit(x, v):
         t = type(x)
         if t is Integer or t is Rational:
-            return float(_value(x))
+            return [float(_value(x))] * len(envs)
         if t is Symbol:
-            if x.name not in env:
+            if any(x.name not in env for env in envs):
                 raise EvalError(f"unbound symbol in numeric evaluation: {x.name}")
-            return float(env[x.name])
+            return [float(env[x.name]) for env in envs]
         if t is Sum:
-            return math.fsum(v)
+            return list(map(math.fsum, zip(*v)))
         if t is Product:
-            return math.prod(v, start=1.0)
+            return [math.prod(fs, start=1.0) for fs in zip(*v)]
         if t is Power:
-            return v[0] ** x.exponent
-        return math.sin(v[0]) if x.fn == "sin" else math.cos(v[0])
+            n = x.exponent
+            return [b ** n for b in v[0]]
+        return list(map(math.sin if x.fn == "sin" else math.cos, v[0]))
 
-    return _fold(e, visit)
+    return _fold(exprs, visit)
 
 
 # --- expansion and the Pythagorean rewrite ----------------------------------
@@ -411,7 +429,7 @@ def expand_and_simplify(e):
     """Distribute products over sums, collect like terms, and apply
     sin^2(u) + cos^2(u) -> 1 wherever the two terms share coefficient
     and remaining factors."""
-    return _pythagoras(_fold(e, _expand_visit))
+    return _pythagoras(_fold([e], _expand_visit)[0])
 
 
 def _distribute(factors):
@@ -499,7 +517,7 @@ _FORMAT = {
 
 def format_scalar(e):
     """Prefix S-expression form, e.g. (* -1 r (sin θ))."""
-    return _fold(e, lambda x, kids: _FORMAT[type(x)](x, kids))
+    return _fold([e], lambda x, kids: _FORMAT[type(x)](x, kids))[0]
 
 
 # --- comparisons used by the language builtins ------------------------------

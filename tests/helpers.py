@@ -3,6 +3,7 @@ reducer that enumerates multi-indices, and small utilities for random
 expressions and tensors."""
 
 import itertools
+import math
 import random
 
 from tensorlang import symbolic, tensor
@@ -149,6 +150,22 @@ def subterms(e):
 def random_binding(rng, names=("x", "y", "z")):
     """Bindings kept away from zero so negative powers stay well-behaved."""
     return {n: rng.choice((-1, 1)) * rng.uniform(0.4, 1.8) for n in names}
+
+
+def reference_eval_numeric(e, env):
+    """Float value of e at one binding by plain recursion, with the float
+    operations the engine uses per node: fsum, prod from 1.0, ** n, sin, cos."""
+    if isinstance(e, (Integer, symbolic.Rational)):
+        return float(symbolic.as_fraction(e))
+    if isinstance(e, symbolic.Symbol):
+        return float(env[e.name])
+    if isinstance(e, symbolic.Sum):
+        return math.fsum(reference_eval_numeric(t, env) for t in e.terms)
+    if isinstance(e, symbolic.Product):
+        return math.prod((reference_eval_numeric(f, env) for f in e.factors), start=1.0)
+    if isinstance(e, symbolic.Power):
+        return reference_eval_numeric(e.base, env) ** e.exponent
+    return (math.sin if e.fn == "sin" else math.cos)(reference_eval_numeric(e.arg, env))
 
 
 def values_close(e1, e2, rng, names=("x", "y", "z"), trials=100, tol=1e-9):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tensorlang import cli
+from tensorlang import cli, oracle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,6 +71,60 @@ def test_demo_subcommand_small(capsys):
     assert "demo PASSED" in out
 
 
+BUMPED_DEMO = """\
+torus demo: 12 random bindings (seed 1234)
+  worst relative gap vs oracle: 1.000e+00 (tolerance 1e-4)
+  k=l curvature components bounded by 0.000e+00 (tolerance 1e-6)
+  four structurally nonzero components present: yes
+  MISMATCH trial 0: R_1212 symbolic=2.937679995223047 oracle=np.float64(3.937686550010697)
+  MISMATCH trial 0: R_2121 symbolic=0.33965102557747756 oracle=np.float64(1.3396517834458825)
+  MISMATCH trial 1: R_1212 symbolic=-0.7964236750056923 oracle=np.float64(0.2035782229506844)
+  MISMATCH trial 1: R_2121 symbolic=-0.2810620452664051 oracle=np.float64(0.7189386244991887)
+  MISMATCH trial 2: R_1212 symbolic=2.6986933871348264 oracle=np.float64(3.6986972097439543)
+  MISMATCH trial 2: R_2121 symbolic=0.356832358192877 oracle=np.float64(1.3568328636456857)
+  MISMATCH trial 3: R_1212 symbolic=-1.730554287209035 oracle=np.float64(-0.7305544884989676)
+  MISMATCH trial 3: R_2121 symbolic=-0.3221965746827476 oracle=np.float64(0.6778033878332872)
+  MISMATCH trial 4: R_1212 symbolic=3.0498270977106703 oracle=np.float64(4.049824296844577)
+  MISMATCH trial 4: R_2121 symbolic=0.3251288632292818 oracle=np.float64(1.3251285646514108)
+demo FAILED
+"""
+
+
+def test_demo_reports_oracle_disagreement(monkeypatch):
+    # Nothing inside the oracle calls riemann, so only R moves: by 1 at R~1_2_1_2
+    # and R~2_1_2_1 in every trial.  The first ten of 24 mismatches are printed,
+    # trial by trial, then tensor by tensor and position by position.
+    real = oracle.riemann
+
+    def bumped(*args, **kw):
+        r = real(*args, **kw)
+        r[..., 0, 1, 0, 1] += 1
+        r[..., 1, 0, 1, 0] += 1
+        return r
+
+    monkeypatch.setattr(oracle, "riemann", bumped)
+    out = io.StringIO()
+    assert cli.demo_torus(samples=12, out=out) == 1
+    assert out.getvalue() == BUMPED_DEMO
+
+
+def test_demo_counts_a_nan_as_a_mismatch(monkeypatch):
+    real = oracle.riemann
+
+    def nan_at_r1111(*args, **kw):
+        r = real(*args, **kw)
+        r[..., 0, 0, 0, 0] = float("nan")
+        return r
+
+    monkeypatch.setattr(oracle, "riemann", nan_at_r1111)
+    out = io.StringIO()
+    assert cli.demo_torus(samples=3, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == [
+        f"  MISMATCH trial {n}: R_1111 symbolic=0.0 oracle=np.float64(nan)" for n in range(3)]
+    assert lines[1] == "  worst relative gap vs oracle: 2.231e-06 (tolerance 1e-4)"
+
+
 def test_repl_session():
     out = io.StringIO()
     src = "(+ 1\n   2)\n(+ 1))\n(* 2 3)\n"
@@ -96,6 +150,13 @@ def test_run_prints_values_before_a_later_error(tmp_path):
     done = run_cli(tmp_path, "(+ 1 2)\n" + RUNAWAY_RECURSION)
     assert done.stdout == "3\n"
     assert done.stderr.startswith("error: DepthError: ")
+    assert done.returncode == 1
+
+
+def test_run_prints_values_before_a_later_parse_error(tmp_path):
+    done = run_cli(tmp_path, "(+ 1 2)\n(+ 1\n")
+    assert done.stdout == "3\n"
+    assert done.stderr == "error: ParseError: line 2, col 1: unbalanced '('\n"
     assert done.returncode == 1
 
 

@@ -297,6 +297,18 @@ class TestDefine:
     def test_indexed_definition_ignores_a_user_transpose(self, src, printed):
         assert show(src) == printed
 
+    @pytest.mark.parametrize("src, message", [
+        ("(define $C_i 5)", "indexed definition C_i (line 1) needs a tensor value"),
+        ("(+ 1 2)\n(define $C_i_i [|[|1 2|] [|3 4|]|]_i_j)",
+         "indexed definition C_i_i (line 2) repeats an index name"),
+        ("(define $C~i_j\n  [|1 2|]_i)",
+         "indexed definition C~i_j (line 1): the value's indices are not i j in some order"),
+    ])
+    def test_indexed_definition_errors_name_the_definition(self, src, message):
+        with pytest.raises(EvalError) as err:
+            run(src)
+        assert str(err.value) == message
+
     def test_unindexed_reference_to_signed_variable(self):
         with pytest.raises(EvalError):
             run("(define $g__ [|[|1 2|] [|3 4|]|]) g")

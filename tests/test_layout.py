@@ -44,3 +44,10 @@ def test_engine_does_not_import_the_benchmark():
 def test_oracle_imports_nothing_from_the_engine():
     for module, level in imports(SRC / "oracle.py"):
         assert level == 0 and module.split(".")[0] != "tensorlang", module
+
+
+def test_only_the_oracle_and_the_cli_import_numpy():
+    # the language core stays numpy-free, so a program run loads no numpy
+    users = {path.name for path in SRC.glob("*.py")
+             if any(module.split(".")[0] == "numpy" for module, _ in imports(path))}
+    assert users == {"oracle.py", "cli.py"}

@@ -10,8 +10,8 @@ from tensorlang.errors import DivisionByZeroError, EvalError
 from tensorlang.symbolic import (Apply, Integer, Power, Product, Rational,
                                  Sum, Symbol)
 
-from helpers import (random_binding, random_scalar_expr, reference_pythagoras,
-                     reference_sort_key, subterms, values_close)
+from helpers import (random_binding, random_scalar_expr, reference_eval_numeric,
+                     reference_pythagoras, reference_sort_key, subterms, values_close)
 
 x, y, r, th = Symbol("x"), Symbol("y"), Symbol("r"), Symbol("θ")
 
@@ -237,6 +237,39 @@ class TestEvalNumeric:
     def test_unbound_symbol(self):
         with pytest.raises(EvalError):
             s.eval_numeric(x, {})
+
+
+class TestEvalNumericMany:
+    """One walk of the shared DAG for all bindings gives, bit for bit, the
+    value of evaluating each expression at each binding on its own."""
+
+    def test_equals_one_binding_at_a_time(self):
+        rng = random.Random(41)
+        trees = [random_scalar_expr(rng, depth=4) for _ in range(80)]
+        # trees built from one another share subterms across roots
+        trees += [s.add(a, s.mul(a, b)) for a, b in zip(trees, trees[1:])]
+        envs = [random_binding(rng) for _ in range(30)]
+        for e, row in zip(trees, s.eval_numeric_many(trees, envs)):
+            assert [v.hex() for v in row] == [s.eval_numeric(e, env).hex() for env in envs]
+            assert row == [reference_eval_numeric(e, env) for env in envs]
+
+    def test_float_errors_are_raised_as_at_one_binding(self):
+        e = s.mul(x, s.powi(s.sin(Integer(0)), -1))  # 1 / 0.0 at every binding
+        with pytest.raises(ZeroDivisionError):
+            s.eval_numeric(e, {"x": 2.0})
+        with pytest.raises(ZeroDivisionError):
+            s.eval_numeric_many([x, e], [{"x": 1.0}, {"x": 2.0}])
+
+    def test_symbol_missing_from_one_binding(self):
+        envs = [{"x": 1.0, "y": 2.0}, {"x": 0.5}, {"x": 3.0, "y": 1.0}]
+        with pytest.raises(EvalError) as one:
+            s.eval_numeric(y, envs[1])
+        with pytest.raises(EvalError) as many:
+            s.eval_numeric_many([s.add(x, s.mul(x, y))], envs)
+        assert str(many.value) == str(one.value) == "unbound symbol in numeric evaluation: y"
+
+    def test_no_bindings(self):
+        assert s.eval_numeric_many([x, s.sin(s.add(x, y)), Integer(2)], []) == [[], [], []]
 
 
 class TestSubstitute:
