@@ -5,7 +5,6 @@ numeric oracle."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import random
 import sys
@@ -18,6 +17,7 @@ from .errors import LangError, ParseError
 from .lang import Interpreter, tokenize
 from .symbolic import ZERO, eval_numeric_many, expand_and_simplify
 from .symbolic import eval_numeric  # noqa: F401  read as cli.eval_numeric by perfbench's tests
+from .tensor import positions
 from .values import format_value
 
 TORUS_PROGRAM = golden.CORPUS_DIR / "torus.tl"
@@ -110,11 +110,6 @@ def run_golden(name_filter=None, out=None):
 _NONZERO_R = ((1, 2, 1, 2), (1, 2, 2, 1), (2, 1, 1, 2), (2, 1, 2, 1))
 
 
-def _positions(t):
-    """The 1-based multi-indices of t's components, in row-major order."""
-    return itertools.product(*[range(1, d + 1) for d in t.shape])
-
-
 def demo_torus(seed=1234, samples=20, out=None):
     out = out if out is not None else sys.stdout
     interp = Interpreter()
@@ -132,7 +127,8 @@ def demo_torus(seed=1234, samples=20, out=None):
         envs.append({"a": a, "b": a + rng.uniform(0.5, 2.5),
                      "θ": rng.uniform(0.0, 2 * math.pi), "φ": rng.uniform(0.0, 2 * math.pi)})
     # one column per component, tensor after tensor: its value at each binding
-    names = [f"{label}_{''.join(map(str, p))}" for label, t, _ in checks for p in _positions(t)]
+    names = [f"{label}_{''.join(map(str, p))}"
+             for label, t, _ in checks for p in positions(t.shape)]
     columns = eval_numeric_many([c for _, t, _ in checks for c in t.components], envs)
     sym = np.array(columns).T  # bindings × components
     args = [np.array([env[x] for env in envs]) for x in ("a", "b", "θ", "φ")]
@@ -142,11 +138,11 @@ def demo_torus(seed=1234, samples=20, out=None):
     worst = np.fmax.reduce(gap / scale, axis=None, initial=0.0)  # skips NaN, as max() does
     failures = [f"trial {n}: {names[c]} symbolic={columns[c][n]!r} oracle={orc[n, c]!r}"
                 for n, c in np.argwhere(~(gap <= 1e-4 * scale))]  # a NaN gap is a mismatch
-    peak = dict(zip(_positions(riemann),  # largest |R| seen per position
+    peak = dict(zip(positions(riemann.shape),  # largest |R| seen per position
                     np.fmax.reduce(np.abs(sym[:, -len(riemann.components):]), initial=0.0)))
 
     zero_bound = max(v for (i, j, k, l), v in peak.items() if k == l)
-    r_at = dict(zip(_positions(riemann), riemann.components))
+    r_at = dict(zip(positions(riemann.shape), riemann.components))
     structurally_nonzero = all(expand_and_simplify(r_at[pos]) != ZERO and peak[pos] > 1e-4
                                for pos in _NONZERO_R)
     zeros_ok = zero_bound <= 1e-6

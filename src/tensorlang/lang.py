@@ -98,12 +98,6 @@ class TensorLit:
 
 
 @dataclass
-class Quote:
-    body: object
-    pos: tuple
-
-
-@dataclass
 class IndexSpecAst:
     variance: int
     kind: str  # "num" | "name" | "dummy" | "empty"
@@ -123,9 +117,11 @@ class ShorthandLambda:
     arity: int
     body: object
     pos: tuple
+    excess: str | None  # the first %k read in the body with k > arity
 
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
+_PLACEHOLDER_RE = re.compile(r"%([0-9]+)\Z")
 _MARK_RE = re.compile(r"(~_(?=[^~_])|~|_)([^~_]*)")
 _VARIANCE_OF = {mark: v for v, mark in tensor.VARIANCE_MARK.items()}
 
@@ -147,6 +143,7 @@ class Parser:
         self.toks = tokenize(text)
         self.i = 0
         self.last_line = 1
+        self.shorthand = None  # [arity, first excess placeholder] of the body being read
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -184,6 +181,8 @@ class Parser:
             return node
         self.advance()
         specs = tuple(parse_index_chain(nxt.text, nxt.line, nxt.col))
+        for s in specs:
+            self._placeholder(s.text)
         # an indexed atom keeps the atom's position, an indexed form the chain's
         at = node.pos if isinstance(node, (Var, NumberLit)) else (nxt.line, nxt.col)
         return Indexed(node, specs, at)
@@ -214,14 +213,17 @@ class Parser:
         if tok.kind == "{":
             return self._sequence(tok, "}", BraceList)
         if tok.kind == "'":
-            return Quote(self.parse_expr(), pos)
+            return self.parse_expr()  # a quote reads as its expression
         if tok.kind == "atom":
             return self._atom(tok)
         if tok.kind == "head":
             nxt = self.peek()
             if nxt is None or not nxt.glued:
                 raise ParseError("shorthand lambda needs an attached body", *pos)
-            return ShorthandLambda(int(tok.text[:-1]), self.parse_expr(), pos)
+            outer, self.shorthand = self.shorthand, [int(tok.text[:-1]), None]
+            body = self.parse_expr()  # a nested shorthand answers to its own arity
+            (arity, excess), self.shorthand = self.shorthand, outer
+            return ShorthandLambda(arity, body, pos, excess)
         raise ParseError(f"unexpected '{tok.text}'", tok.line, tok.col)
 
     def _atom(self, tok):
@@ -230,7 +232,16 @@ class Parser:
             raise ParseError(f"index suffix {text!r} has no target expression", *pos)
         if _INT_RE.match(text):
             return NumberLit(int(text), pos)
+        self._placeholder(text)
         return Var(text, pos)
+
+    def _placeholder(self, text):
+        """Record text as the shorthand's excess placeholder when it is the
+        first `%k` read in the body with k above the arity."""
+        frame = self.shorthand
+        m = frame and frame[1] is None and _PLACEHOLDER_RE.match(text)
+        if m and int(m.group(1)) > frame[0]:
+            frame[1] = text
 
     def _check_special(self, node):
         items = node.items
@@ -291,10 +302,10 @@ class Evaluator:
             return tensor.tensor_from_nested([self.eval(e, env) for e in node.items])
         if isinstance(node, BraceList):
             return BraceValue(tuple(self.eval(e, env) for e in node.items))
-        if isinstance(node, Quote):
-            return self.eval(node.body, env)
         if isinstance(node, ShorthandLambda):
-            self._check_placeholders(node)
+            if node.excess:
+                raise EvalError(
+                    f"placeholder {node.excess} exceeds shorthand arity {node.arity}")
             params = tuple((KIND_TENSOR, f"%{k}") for k in range(1, node.arity + 1))
             return _closure(params, node.body, env)
         if isinstance(node, BrackList):
@@ -351,23 +362,6 @@ class Evaluator:
         if isinstance(val, symbolic.Integer):
             return tensor.Index(spec.variance, NumberLabel(val.value))
         raise EvalError(f"invalid index label {spec.text} (line {spec.pos[0]})")
-
-    def _check_placeholders(self, node):
-        def walk(n):
-            if isinstance(n, ShorthandLambda):
-                return  # its placeholders answer to its own arity
-            if isinstance(n, Var) and re.match(r"%[0-9]+\Z", n.name):
-                if int(n.name[1:]) > node.arity:
-                    raise EvalError(
-                        f"placeholder {n.name} exceeds shorthand arity {node.arity}")
-            for attr in ("items", "specs"):
-                for child in getattr(n, attr, ()):  # tuples on composite nodes
-                    walk(child)
-            for attr in ("base", "body"):
-                child = getattr(n, attr, None)
-                if child is not None and not isinstance(child, tuple):
-                    walk(child)
-        walk(node.body)
 
     def _list_form(self, node, env):
         items = node.items
@@ -434,7 +428,8 @@ class Evaluator:
 
     def eval_with_symbols(self, names, body, env, defining=None):
         """Evaluate body with each name bound to a fresh local symbol; axes
-        labelled by a local symbol then become fresh dummies.  `defining`
+        labelled by a local symbol then become fresh dummies, and a local
+        left in a scalar becomes the scope's one `#n` for it.  `defining`
         (an indexed definition's target and line, distinct names) first puts
         the axes in the order of names."""
         frame = Environment(env)
@@ -451,25 +446,9 @@ class Evaluator:
                 raise EvalError(f"indexed definition {defining}: the value's indices "
                                 f"are not {' '.join(names)} in some order")
             value = tensor.transpose(order, value)
-        return self._strip_locals(value, set(local.values()))
-
-    def _strip_locals(self, val, local_names):
-        if isinstance(val, Tensor):
-            new_ix = []
-            for ix in val.indices:
-                if ix is not None and isinstance(ix.label, SymbolLabel) \
-                        and ix.label.name in local_names:
-                    new_ix.append(tensor.fresh_dummy(ix.variance))
-                else:
-                    new_ix.append(ix)
-            comps = [self._strip_locals(c, local_names) for c in val.components]
-            return tensor.make_tensor(val.shape, comps, new_ix)
-        if isinstance(val, symbolic.ScalarExpr):
-            for name in symbolic.free_symbols(val) & local_names:
-                repl = symbolic.Symbol(f"#{next(self._local_ids)}")
-                val = symbolic.substitute(val, name, repl)
-            return val
-        return val
+        renamed = {name: symbolic.Symbol(f"#{next(self._local_ids)}")
+                   for name in local.values()}
+        return _strip_locals(value, renamed)
 
     # --- application ----------------------------------------------------------
 
@@ -496,6 +475,21 @@ def _closure(params, body, env):
             frame.define(name, a)
         return ev.eval(body, frame)
     return FunctionValue(None, tuple(k for k, _ in params), impl)
+
+
+def _strip_locals(val, renamed):
+    """val with each axis labelled by a renamed local made a fresh dummy,
+    and each renamed local in a scalar replaced by its new symbol."""
+    if isinstance(val, Tensor):
+        new_ix = [tensor.fresh_dummy(ix.variance)
+                  if ix is not None and isinstance(ix.label, SymbolLabel)
+                  and ix.label.name in renamed else ix
+                  for ix in val.indices]
+        comps = [_strip_locals(c, renamed) for c in val.components]
+        return tensor.make_tensor(val.shape, comps, new_ix)
+    if isinstance(val, symbolic.ScalarExpr):
+        return symbolic.substitute(val, renamed)
+    return val
 
 
 def _strip_marker(name):

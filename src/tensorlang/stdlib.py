@@ -143,7 +143,7 @@ def _impl_flip(ev, args):
     kinds = f.kinds * 2 if f.variadic else f.kinds
     if len(kinds) != 2:
         raise ArityError("flip needs a two-argument function")
-    return FunctionValue(f.name, kinds[::-1],
+    return FunctionValue(f"(flip {f.name})" if f.name else None, kinds[::-1],
                          lambda ev2, a: f.impl(ev2, [a[1], a[0]]))
 
 

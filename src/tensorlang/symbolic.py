@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, is_
 
 from .errors import ComparisonError, DivisionByZeroError, EvalError
 
@@ -210,7 +210,10 @@ def _children(e):
 
 
 def _rebuild(e, children):
-    """The canonical node of e's variant over new canonical children."""
+    """The canonical node of e's variant over new canonical children; e
+    itself when they are its own."""
+    if all(map(is_, children, _children(e))):
+        return e
     t = type(e)
     if t is Sum:
         return add(*children)
@@ -218,9 +221,7 @@ def _rebuild(e, children):
         return mul(*children)
     if t is Power:
         return _pow(children[0], e.exponent)
-    if t is Apply:
-        return _apply(e.fn, children[0])
-    return e
+    return _apply(e.fn, children[0])
 
 
 def _apply(fn, arg):
@@ -375,19 +376,17 @@ def differentiate(e, name):
 # --- substitution and numeric evaluation ------------------------------------
 
 
-def substitute(e, name, replacement):
-    _scalar(replacement)
+def substitute(e, mapping):
+    """e with every symbol named in `mapping` replaced by its value there."""
+    for r in mapping.values():
+        _scalar(r)
 
     def visit(x, kids):
-        if type(x) is Symbol and x.name == name:
-            return replacement
+        if type(x) is Symbol:
+            return mapping.get(x.name, x)
         return _rebuild(x, kids)
 
     return _fold([e], visit)[0]
-
-
-def free_symbols(e):
-    return _fold([e], lambda x, kids: {x.name} if type(x) is Symbol else set().union(*kids))[0]
 
 
 def eval_numeric(e, env):

@@ -78,7 +78,7 @@ def _offset(strides, multi):
     return off
 
 
-def _positions(shape):
+def positions(shape):
     """All 1-based multi-indices of `shape` in row-major order."""
     return itertools.product(*[range(1, d + 1) for d in shape])
 
@@ -356,5 +356,5 @@ def generate_tensor(call, dims):
     """Build a tensor of the given dimensions; the component at each 1-based
     position is `call(position)`."""
     dims = tuple(dims)
-    comps = [call(multi) for multi in _positions(dims)]
+    comps = [call(multi) for multi in positions(dims)]
     return make_tensor(dims, comps)

@@ -14,10 +14,10 @@ RUNAWAY_RECURSION = "(define $f (lambda [$x] (f x)))\n(f 1)\n"
 DEEP_NESTING = "(" * 3000 + "1" + ")" * 3000 + "\n"
 
 
-def run_cli(tmp_path, program):
+def run_cli(tmp_path, program, **env):
     f = tmp_path / "prog.tl"
     f.write_text(program, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
     return subprocess.run([sys.executable, "-m", "tensorlang.cli", "run", str(f)],
                           capture_output=True, text=True, env=env, timeout=60)
 
@@ -163,6 +163,15 @@ def test_run_prints_values_before_a_later_parse_error(tmp_path):
 def test_run_reads_unicode_whitespace(tmp_path):
     done = run_cli(tmp_path, "(+ 1\u00a02)\n")
     assert (done.stdout, done.stderr, done.returncode) == ("3\n", "", 0)
+
+
+def test_run_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # the local symbols that escape a with-symbols scope are numbered in
+    # declaration order, not in the order of a set of their names
+    program = "(with-symbols {i j k} (- i (* 2 j) (* 3 k)))\n(with-symbols {i} [|i (* 2 i)|])\n"
+    a, b = (run_cli(tmp_path, program, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
 
 
 def test_repl_continues_after_depth_error():

@@ -175,6 +175,9 @@ class TestEval:
     def test_quote_is_transparent(self):
         assert run("'(+ 1 2)") == Integer(3)
         assert show("(* '(+ x 1) 2)") == show("(* (+ x 1) 2)")
+        assert show("(* '(+ a b) c)") == "(* c (+ a b))"
+        assert parse_forms("'x") == [Var("x", (1, 2))]
+        assert run("(('lambda [$x] (* 2 x)) 5)") == Integer(10)
 
     def test_indexing_scalar_fails(self):
         with pytest.raises(EvalError):
@@ -221,6 +224,8 @@ class TestCallPath:
         ("(flip sin)", ArityError, "flip needs a two-argument function"),
         ("(flip (lambda [$x] x))", ArityError, "flip needs a two-argument function"),
         ("(flip 3)", EvalError, "flip expects a function"),
+        ("((flip +) 1 2 3)", ArityError, "(flip +) expects 2 arguments, got 3"),
+        ("((flip (lambda [$x $y] x)) 1)", ArityError, "function expects 2 arguments, got 1"),
         ("(contract 3 [|1 2|]~_i)", EvalError, "expected a function argument"),
     ])
     def test_errors(self, src, error, message):
@@ -231,7 +236,8 @@ class TestCallPath:
 
     @pytest.mark.parametrize("src, printed", [
         ("+", "#<builtin:+>"),
-        ("(flip -)", "#<builtin:->"),
+        ("(flip -)", "#<builtin:(flip -)>"),
+        ("(flip (lambda [$x $y] x))", "#<function>"),
         ("(lambda [$x] x)", "#<function>"),
         ("1#%1", "#<function>"),
         ("((flip (lambda [$x $y] (- x y))) 1 5)", "4"),
@@ -260,6 +266,16 @@ class TestWithSymbols:
         out = run("(with-symbols {i} (+ i 1))")
         assert isinstance(out, object)
         assert "%" not in format_value(out)
+
+    def test_escaping_local_is_one_symbol_per_scope(self):
+        out = show("(with-symbols {i} [|i (* 2 i)|])")
+        (name,) = set(re.findall(r"#[0-9]+", out))
+        assert out == f"[|{name} (* 2 {name})|]"
+
+    def test_escaping_locals_numbered_in_declaration_order(self):
+        out = show("(with-symbols {k i j} [|i j k|])")
+        i, j, k = (int(n) for n in re.findall(r"#([0-9]+)", out))
+        assert k < i < j
 
     def test_runs_twice_equally_up_to_dummies(self):
         src = "(with-symbols {i} (+ [|1 2|]_i [|3 4|]_i))"
@@ -334,6 +350,20 @@ class TestShorthandLambda:
     def test_placeholder_out_of_range(self):
         with pytest.raises(EvalError):
             run("(1#(+ %1 %2) 3)")
+
+    @pytest.mark.parametrize("src, excess", [
+        ("(1#(+ %2 %3) 5)", "%2 exceeds shorthand arity 1"),
+        ("(1#(f %1 2#(g %2 %2) %5 %3) 1)", "%5 exceeds shorthand arity 1"),
+        ("(define $e [|[|1 2 3|] [|4 5 6|]|])\n"
+         "(generate-tensor 2#(inner-product e_%1 e_%3) {2 2})", "%3 exceeds shorthand arity 2"),
+    ])
+    def test_first_excess_placeholder_in_reading_order(self, src, excess):
+        with pytest.raises(EvalError) as err:
+            run(src)
+        assert str(err.value) == f"placeholder {excess}"
+
+    def test_excess_placeholder_raises_only_when_evaluated(self):
+        assert run("(if (eq? 1 1) 1 2#%3)") == Integer(1)
 
     def test_row_selection(self):
         out = run("""

@@ -274,13 +274,13 @@ class TestEvalNumericMany:
 
 class TestSubstitute:
     def test_simple(self):
-        assert s.substitute(s.add(x, y), "x", Integer(2)) == s.add(Integer(2), y)
+        assert s.substitute(s.add(x, y), {"x": Integer(2)}) == s.add(Integer(2), y)
 
     def test_inside_apply(self):
-        assert s.substitute(s.sin(x), "x", th) == s.sin(th)
+        assert s.substitute(s.sin(x), {"x": th}) == s.sin(th)
 
     def test_recanonicalizes(self):
-        assert s.substitute(s.mul(x, x), "x", Integer(3)) == Integer(9)
+        assert s.substitute(s.mul(x, x), {"x": Integer(3)}) == Integer(9)
 
 
 class TestCanonicalEqualityCongruence:
@@ -352,7 +352,7 @@ class TestOneKindOfNode:
         lambda: s.add(x, 5), lambda: s.mul(x, "y"), lambda: s.mul(Integer(0), "y"),
         lambda: s.sub(x, 5),
         lambda: s.sin(5), lambda: s.cos("a"), lambda: s.powi(5, 2), lambda: s.div(x, 5),
-        lambda: s.substitute(x, "x", 5),
+        lambda: s.substitute(x, {"x": 5}),
     ], ids=["add", "mul", "mul-zero", "sub", "sin", "cos", "powi", "div", "substitute"])
     def test_non_scalar_arguments_raise_language_errors(self, call):
         with pytest.raises(EvalError, match="not a scalar expression"):
