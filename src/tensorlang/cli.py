@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import golden, oracle
-from .errors import LangError, ParseError
+from .errors import LangError
 from .lang import Interpreter, tokenize
 from .symbolic import ZERO, eval_numeric_many, expand_and_simplify
 from .symbolic import eval_numeric  # noqa: F401  read as cli.eval_numeric by perfbench's tests
@@ -49,14 +49,11 @@ def _print_forms(interp, text, out, err):
 
 def _balanced(text):
     depth = 0
-    try:
-        for tok in tokenize(text):
-            if tok.kind in ("(", "[", "{", "[|"):
-                depth += 1
-            elif tok.kind in (")", "]", "}", "|]"):
-                depth -= 1
-    except ParseError:
-        return True  # let the parser report it
+    for tok in tokenize(text):
+        if tok.kind in ("(", "[", "{", "[|"):
+            depth += 1
+        elif tok.kind in (")", "]", "}", "|]"):
+            depth -= 1
     return depth <= 0
 
 

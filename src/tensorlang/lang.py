@@ -35,7 +35,7 @@ _TOKEN_RE = re.compile(r"""
 
 @dataclass
 class Token:
-    kind: str  # "(" ")" "[" "]" "{" "}" "[|" "|]" "'" "atom" "head"
+    kind: str  # "(" ")" "[" "]" "{" "}" "[|" "|]" "'" "atom" "head" "stray"
     text: str
     line: int
     col: int
@@ -48,13 +48,11 @@ def tokenize(text):
     for m in _TOKEN_RE.finditer(text):
         kind, s = m.lastgroup, m.group()
         col = m.start() - line_start + 1
-        if kind == "stray":
-            raise ParseError("stray '|'", line, col)
         if kind == "newline":
             line, line_start = line + 1, m.end()
-        elif kind in ("atom", "head", "delim"):
+        elif kind not in ("space", "comment"):
             toks.append(Token(s if kind == "delim" else kind, s, line, col, glued))
-        glued = kind in ("atom", "head", "delim")
+        glued = kind not in ("newline", "space", "comment")
     return toks
 
 
@@ -224,6 +222,8 @@ class Parser:
             body = self.parse_expr()  # a nested shorthand answers to its own arity
             (arity, excess), self.shorthand = self.shorthand, outer
             return ShorthandLambda(arity, body, pos, excess)
+        if tok.kind == "stray":
+            raise ParseError("stray '|'", *pos)
         raise ParseError(f"unexpected '{tok.text}'", tok.line, tok.col)
 
     def _atom(self, tok):

@@ -92,7 +92,7 @@ def _impl_tensor_map(ev, args):
     arity = _function_arity(f)
     if arity is not None and arity != 1:
         raise ArityError("tensor-map needs a one-argument function")
-    return tensor.tensor_map(lambda c: ev.call(f, [c]), t)
+    return tensor.scalar_apply(lambda xs: ev.call(f, xs), (KIND_SCALAR,), [t])
 
 
 def _impl_flip_indices(ev, args):

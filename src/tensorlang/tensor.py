@@ -309,47 +309,46 @@ def transpose(order_labels, t):
     return make_tensor(shape, _gather(t, shape, axis_of), [t.indices[a] for a in perm])
 
 
-def tensor_map(call1, t):
-    """Apply `call1` to every component.  Tensor-valued results must agree
-    in shape and indices; their axes are hoisted to the end and the result
-    is index-reduced."""
-    if not isinstance(t, Tensor):
-        return call1(t)
-    results = [call1(c) for c in t.components]
-    if not any(isinstance(r, Tensor) for r in results):
-        return reduce_indices(make_tensor(t.shape, results, t.indices))
-    first = results[0]
-    for r in results:
-        if not isinstance(r, Tensor) or r.shape != getattr(first, "shape", None) \
-                or r.indices != first.indices:
-            raise BroadcastError(
-                "componentwise results do not share one shape and index list")
-    comps = []
-    for r in results:
-        comps.extend(r.components)
-    combined = make_tensor(t.shape + first.shape, comps, t.indices + first.indices)
-    return reduce_indices(combined)
+def _layout(value):
+    return (value.shape, value.indices) if isinstance(value, Tensor) else None
 
 
 def scalar_apply(call, kinds, args):
-    """Nested componentwise mapping over the scalar-kind arguments.
+    """Componentwise mapping over the scalar-kind tensor arguments (the
+    levels), then index reduction.
 
     Tensor-kind arguments and plain scalars pass through whole; an
     inverted-scalar argument has its indices flipped first.  `call`
-    receives the fully unwrapped argument list.
+    receives the unwrapped argument list at each position of the levels'
+    outer product, in row-major order.  Tensor-valued results must share
+    one shape and index list, and their axes form the innermost level.
+    The last level's axes reduce together with the results' axes, then
+    each earlier level's axes together with that reduced result.
     """
-    prepared = [flip_indices(a) if kind == KIND_INVERTED else a
-                for kind, a in zip(kinds, args)]
-
-    def go(i, acc):
-        if i == len(prepared):
-            return call(acc)
-        a = prepared[i]
-        if kinds[i] == KIND_TENSOR or not isinstance(a, Tensor):
-            return go(i + 1, acc + [a])
-        return tensor_map(lambda c: go(i + 1, acc + [c]), a)
-
-    return reduce_indices(go(0, []))
+    xs = [flip_indices(a) if kind == KIND_INVERTED else a for kind, a in zip(kinds, args)]
+    at = [i for i, a in enumerate(xs) if kinds[i] != KIND_TENSOR and isinstance(a, Tensor)]
+    levels = [xs[i] for i in at]
+    results = []
+    for comps in itertools.product(*[t.components for t in levels]):
+        for i, c in zip(at, comps):
+            xs[i] = c
+        results.append(call(list(xs)))
+    if not levels:
+        return reduce_indices(results[0])
+    inner = _layout(results[0])
+    if any(_layout(r) != inner for r in results):
+        raise BroadcastError("componentwise results do not share one shape and index list")
+    # The reductions run on a plan whose components are offsets into the
+    # flat outer product; the kept offsets are read once at the end.
+    flat = results if inner is None else [c for r in results for c in r.components]
+    block = len(flat) // len(results)
+    shape, indices = inner or ((), ())
+    plan = Tensor(shape, tuple(range(block)), indices)
+    for t in reversed(levels):
+        comps = [c * block + off for c in range(len(t.components)) for off in plan.components]
+        plan = reduce_indices(make_tensor(t.shape + plan.shape, comps, t.indices + plan.indices))
+        block *= len(t.components)
+    return make_tensor(plan.shape, [flat[off] for off in plan.components], plan.indices)
 
 
 def generate_tensor(call, dims):

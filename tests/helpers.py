@@ -1,12 +1,13 @@
 """Independent oracles shared by the test modules: a brute-force index
-reducer that enumerates multi-indices, and small utilities for random
-expressions and tensors."""
+reducer that enumerates multi-indices, the nested broadcast rule, and
+small utilities for random expressions and tensors."""
 
 import itertools
 import math
 import random
 
 from tensorlang import symbolic, tensor
+from tensorlang.errors import BroadcastError
 from tensorlang.symbolic import Integer
 from tensorlang.tensor import Index, SymbolLabel, Tensor
 
@@ -242,3 +243,40 @@ def _reference_merge_one_pair(terms):
                 terms.append([amount, merged])
                 return True
     return False
+
+
+def _reference_tensor_map(call1, t):
+    if not isinstance(t, Tensor):
+        return call1(t)
+    results = [call1(c) for c in t.components]
+    if not any(isinstance(r, Tensor) for r in results):
+        return tensor.reduce_indices(tensor.make_tensor(t.shape, results, t.indices))
+    first = results[0]
+    for r in results:
+        if not isinstance(r, Tensor) or r.shape != getattr(first, "shape", None) \
+                or r.indices != first.indices:
+            raise BroadcastError(
+                "componentwise results do not share one shape and index list")
+    comps = []
+    for r in results:
+        comps.extend(r.components)
+    combined = tensor.make_tensor(t.shape + first.shape, comps, t.indices + first.indices)
+    return tensor.reduce_indices(combined)
+
+
+def reference_scalar_apply(call, kinds, args):
+    """The paper's broadcast rule written as nesting: one componentwise map
+    per scalar-kind tensor argument, each level index-reduced together
+    with the (already reduced) result of the levels inside it."""
+    prepared = [tensor.flip_indices(a) if kind == tensor.KIND_INVERTED else a
+                for kind, a in zip(kinds, args)]
+
+    def go(i, acc):
+        if i == len(prepared):
+            return call(acc)
+        a = prepared[i]
+        if kinds[i] == tensor.KIND_TENSOR or not isinstance(a, Tensor):
+            return go(i + 1, acc + [a])
+        return _reference_tensor_map(lambda c: go(i + 1, acc + [c]), a)
+
+    return tensor.reduce_indices(go(0, []))

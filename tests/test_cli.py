@@ -160,6 +160,13 @@ def test_run_prints_values_before_a_later_parse_error(tmp_path):
     assert done.returncode == 1
 
 
+def test_run_prints_values_before_a_later_stray_bar(tmp_path):
+    done = run_cli(tmp_path, "(+ 1 2)\n(+ 1 | 2)\n")
+    assert done.stdout == "3\n"
+    assert done.stderr == "error: ParseError: line 2, col 6: stray '|'\n"
+    assert done.returncode == 1
+
+
 def test_run_reads_unicode_whitespace(tmp_path):
     done = run_cli(tmp_path, "(+ 1\u00a02)\n")
     assert (done.stdout, done.stderr, done.returncode) == ("3\n", "", 0)

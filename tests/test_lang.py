@@ -49,13 +49,6 @@ READER_TEXT = st.text(alphabet="()[]{}'|;~_#%$*-0129xyΓ \t\r\n\f\v\u00a0\u2003\
                       max_size=40)
 
 
-def tokens_or_none(text):
-    try:
-        return lang.tokenize(text)
-    except ParseError:
-        return None
-
-
 class TestReaderTermination:
     @pytest.mark.parametrize("space", ODD_SPACES, ids=["ff", "vt", "nbsp", "ls"])
     def test_tokenize_and_parse_treat_it_as_whitespace(self, space):
@@ -74,10 +67,7 @@ class TestReaderTermination:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(READER_TEXT)
     def test_any_text_tokenizes_and_parses_or_raises(self, text):
-        try:
-            lang.tokenize(text)
-        except ParseError:
-            pass
+        lang.tokenize(text)
         try:
             lang.parse_program(text)
         except (ParseError, DepthError):
@@ -87,15 +77,14 @@ class TestReaderTermination:
     @given(READER_TEXT)
     def test_every_token_sits_at_its_position(self, text):
         lines = text.split("\n")
-        for tok in tokens_or_none(text) or ():
+        for tok in lang.tokenize(text):
             assert lines[tok.line - 1][tok.col - 1:].startswith(tok.text)
 
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(READER_TEXT)
     def test_tokens_spell_the_source_without_comments_and_whitespace(self, text):
-        toks = tokens_or_none(text)
-        if toks is not None:
-            assert "".join(t.text for t in toks) == re.sub(r";[^\n]*|\s", "", text)
+        toks = lang.tokenize(text)
+        assert "".join(t.text for t in toks) == re.sub(r";[^\n]*|\s", "", text)
 
 
 class TestParser:

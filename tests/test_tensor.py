@@ -1,17 +1,19 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from tensorlang import tensor as T
 from tensorlang.errors import (BoundsError, BroadcastError,
-                               DimensionMismatchError, EvalError, RankError,
-                               ShapeError)
+                               DimensionMismatchError, EvalError, LangError,
+                               RankError, ShapeError)
 from tensorlang.symbolic import Integer, add, mul
 from tensorlang.tensor import (SUB, SUP, SUPSUB, Index, NumberLabel,
                                SymbolLabel, Tensor, fresh_dummy)
 
 from helpers import (as_engine_tensor, brute_reduce, engine_summary,
-                     random_labeled_tensor)
+                     random_labeled_tensor, reference_scalar_apply)
 
 
 def vec(*xs):
@@ -28,6 +30,10 @@ def ints(t):
 
 def sym(name, var=SUB):
     return Index(var, SymbolLabel(name))
+
+
+def tensor_map(call1, t):
+    return T.scalar_apply(lambda xs: call1(xs[0]), (T.KIND_SCALAR,), [t])
 
 
 def num(n, var=SUB):
@@ -237,22 +243,24 @@ class TestTranspose:
 
 
 class TestTensorMap:
+    """`tensor-map` is `scalar_apply` over one scalar-kind argument."""
+
     def test_scalar_results(self):
         t = T.append_indices(vec(1, 2, 3), [sym("i")])
-        r = T.tensor_map(lambda c: add(c, Integer(1)), t)
+        r = tensor_map(lambda c: add(c, Integer(1)), t)
         assert ints(r) == [2, 3, 4]
         assert r.indices == t.indices
 
     def test_index_hoisting_merges(self):
         inner = T.append_indices(vec(10, 20, 30), [sym("i")])
         outer = T.append_indices(vec(1, 2, 3), [sym("i")])
-        r = T.tensor_map(lambda c: T.tensor_map(lambda d: add(c, d), inner), outer)
+        r = tensor_map(lambda c: tensor_map(lambda d: add(c, d), inner), outer)
         assert ints(r) == [11, 22, 33]
 
     def test_inconsistent_inner_shapes(self):
         outer = vec(1, 2)
         with pytest.raises(BroadcastError):
-            T.tensor_map(
+            tensor_map(
                 lambda c: vec(1, 2) if c == Integer(1) else vec(1, 2, 3), outer)
 
 
@@ -271,10 +279,109 @@ class TestScalarApply:
                 for j in range(1, m + 1):
                     assert T.component_at(r, (i, j)) == Integer(xs[i - 1] + ys[j - 1])
 
+    def test_equals_the_nested_reference(self):
+        rng = random.Random(1702)
+        outcomes = set()
+        for _ in range(400):
+            kinds, args, make_call = _random_broadcast(rng)
+            want = _outcome(reference_scalar_apply, kinds, args, make_call)
+            assert _outcome(T.scalar_apply, kinds, args, make_call) == want
+            outcomes.add(want[0])
+        assert outcomes >= {Tensor, BroadcastError, DimensionMismatchError}
+
+    def test_levels_reduce_nested_not_flat(self):
+        vs = [T.append_indices(vec(a, b), [sym("i", var)])
+              for (a, b), var in (((1, 2), SUP), ((3, 4), SUP), ((5, 6), SUB))]
+        r = T.scalar_apply(lambda xs: mul(*xs), (T.KIND_SCALAR,) * 3, vs)
+        assert ints(r) == [15, 48]
+        assert r.indices == (sym("i", SUP),)
+
+    def test_every_call_runs_before_any_reduction(self):
+        # the j axes of the last two arguments mismatch, but a call in the
+        # second row fails first
+        x = T.append_indices(vec(1, 0), [sym("i")])
+        y = T.append_indices(vec(1, 2), [sym("j")])
+        z = T.append_indices(vec(1, 2, 3), [sym("j")])
+        with pytest.raises(ZeroDivisionError):
+            T.scalar_apply(lambda xs: Integer(1 // xs[0].value),
+                           (T.KIND_SCALAR,) * 3, [x, y, z])
+
     def test_inverted_kind_flips_first(self):
         b = T.append_indices(vec(1, 2), [sym("j", SUP)])
         r = T.scalar_apply(lambda args: args[0], (T.KIND_INVERTED,), [b])
         assert r.indices[0].variance == SUB
+
+
+def _random_axes(rng, dim_of, rank, labels):
+    """Shape and index slots over `labels`; a labelled axis occasionally
+    takes the other dimension, so reductions can mismatch."""
+    shape, indices = [], []
+    for _ in range(rank):
+        lab = rng.choice(labels)
+        if lab is None:
+            shape.append(rng.choice((2, 3)))
+            indices.append(None)
+        else:
+            shape.append(dim_of[lab] if rng.random() > 0.1 else 5 - dim_of[lab])
+            indices.append(Index(rng.choice((SUP, SUB, SUPSUB)), lab))
+    return tuple(shape), tuple(indices)
+
+
+def _tensor_of(values, layout):
+    shape, indices = layout
+    return T.make_tensor(shape, [Integer(v) for v in values(math.prod(shape))], indices)
+
+
+def _random_broadcast(rng):
+    """Kinds, arguments and a call factory for one seeded broadcast.
+
+    Each call returns a scalar that encodes its arguments, or a tensor of
+    one fixed layout built from that scalar.  In the inconsistent mode one
+    call in the first row (the first pass over the last level) returns
+    something else, so the nested reference meets it before any of its
+    reductions.  Every level has at least two components.
+    """
+    dim_of = {SymbolLabel("i"): 2, SymbolLabel("j"): rng.choice((2, 3))}
+    kinds = [T.KIND_SCALAR] * rng.randint(1, 3)
+    extra = rng.choice((None, T.KIND_TENSOR, T.KIND_INVERTED))
+    if extra:
+        kinds.insert(rng.randint(0, len(kinds)), extra)
+    args = [Integer(rng.randint(-9, 9)) if rng.random() < 0.15 else _tensor_of(
+                lambda n: [rng.randint(-9, 9) for _ in range(n)],
+                _random_axes(rng, dim_of, rng.randint(1, 2), (*dim_of, None)))
+            for _ in kinds]
+    dim_of[fresh_dummy().label] = 2
+    layouts = [_random_axes(rng, dim_of, rng.randint(1, 2), (*dim_of, None))
+               for _ in range(2)]
+    mode = rng.choice(("scalar", "tensor", "inconsistent"))
+    odd = rng.choice(("scalar", "tensor"))
+    levels = [a for k, a in zip(kinds, args) if k != T.KIND_TENSOR and isinstance(a, Tensor)]
+    odd_call = rng.randrange(len(levels[-1].components) if levels else 1)
+
+    def make_call():
+        calls = itertools.count()
+
+        def call(xs):
+            s = sum(x.value * 1000 ** k for k, x in enumerate(xs) if not isinstance(x, Tensor))
+            layout = layouts[0]
+            if mode == "inconsistent" and next(calls) == odd_call:
+                if odd == "scalar":
+                    return Integer(s)
+                layout = layouts[1]
+            if mode == "scalar":
+                return Integer(s)
+            return _tensor_of(lambda n: [s + 100 * k for k in range(n)], layout)
+        return call
+
+    return kinds, args, make_call
+
+
+def _outcome(apply, kinds, args, make_call):
+    try:
+        r = apply(make_call(), kinds, list(args))
+    except LangError as e:
+        return type(e), str(e)
+    return type(r), r
 
 
 class TestGenerateTensor:
