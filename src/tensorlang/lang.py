@@ -461,9 +461,23 @@ class Evaluator:
         elif len(args) != len(kinds):
             raise ArityError(f"{fv.name or 'function'} expects {len(kinds)} "
                              f"arguments, got {len(args)}")
-        if any(k != KIND_TENSOR for k in kinds):
+        if all(k == KIND_TENSOR for k in kinds):
+            return fv.impl(self, args)
+        # No builtin mixes tensor-kind and scalar-kind parameters, so a
+        # builtin's tensor argument here is a level.  A builtin is a function
+        # of its arguments and equal components are one interned object, so
+        # it runs once per distinct tuple (args keeps every keyed id alive);
+        # a closure can make fresh names, so it runs at every position.
+        if not fv.name or Tensor not in map(type, args):
             return tensor.scalar_apply(lambda xs: fv.impl(self, xs), kinds, args)
-        return fv.impl(self, args)
+        memo = {}
+        def once(xs):
+            key = tuple(map(id, xs))
+            r = memo.get(key, _MISSING)
+            if r is _MISSING:
+                r = memo[key] = fv.impl(self, xs)
+            return r
+        return tensor.scalar_apply(once, kinds, args)
 
 
 def _closure(params, body, env):

@@ -193,7 +193,10 @@ def _fold(roots, visit):
         if k not in memo:
             memo[k] = visit(x, [go(c) for c in _children(x)])
         return memo[k]
-    return [go(_scalar(e)) for e in roots]  # the children of a node are nodes
+    try:
+        return [go(_scalar(e)) for e in roots]  # the children of a node are nodes
+    finally:
+        memo.clear()  # go refers to itself, so the memo would wait for the collector
 
 
 def _children(e):

@@ -19,7 +19,10 @@ class FunctionValue:
     count of at least one argument when `variadic` is set) and `impl`,
     called as `impl(evaluator, args)` on arguments already broadcast
     over the scalar-kind parameters.  Builtins have a name; closures made
-    by `lambda` or `N#...` have none."""
+    by `lambda` or `N#...` have none.  A builtin with a scalar-kind
+    parameter is a function of its arguments: the same argument objects
+    give the same result, or the same error, so broadcasting calls it once
+    per distinct tuple of components."""
     name: Optional[str]
     kinds: tuple
     impl: Callable

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 import re
 
@@ -6,12 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlang import Interpreter, format_value
-from tensorlang import cli, lang
-from tensorlang.errors import ArityError, DepthError, EvalError, ParseError
+from tensorlang import cli, lang, stdlib, symbolic
+from tensorlang.errors import (ArityError, BroadcastError, DepthError,
+                               DivisionByZeroError, EvalError, LangError, ParseError)
 from tensorlang.lang import (BraceList, Indexed, ListForm, NumberLit,
                              ShorthandLambda, TensorLit, Var, parse_forms)
 from tensorlang.symbolic import Integer, Symbol
-from tensorlang.tensor import SUB, SUP, SUPSUB
+from tensorlang.tensor import (KIND_TENSOR, SUB, SUP, SUPSUB, Index, SymbolLabel,
+                               Tensor, make_tensor)
+from tensorlang.values import FunctionValue
+
+from helpers import reference_scalar_apply
 
 
 def run(src):
@@ -235,6 +241,107 @@ class TestCallPath:
     ])
     def test_values(self, src, printed):
         assert show(src) == printed
+
+
+class TestBroadcastOncePerTuple:
+    """A builtin broadcast over scalar parameters runs once per distinct
+    tuple of component objects; a closure runs at every position."""
+
+    @staticmethod
+    def counting(interp, name):
+        calls = []
+        f = interp.globals.lookup(name)
+
+        def impl(ev, xs):
+            calls.append(xs)
+            return f.impl(ev, xs)
+        interp.globals.define(name, FunctionValue(name, f.kinds, impl, f.variadic))
+        return calls
+
+    @pytest.mark.parametrize("src, printed, n", [
+        ("(+ [|0 0 0|]_i [|0 0 0|]_j [|0 0 0|]_k)",
+         "[|[|[|0 0 0|] [|0 0 0|] [|0 0 0|]|] [|[|0 0 0|] [|0 0 0|] [|0 0 0|]|] "
+         "[|[|0 0 0|] [|0 0 0|] [|0 0 0|]|]|]_i_j_k", 1),
+        ("(+ [|1 2 1|]_i [|5 5|]_j)", "[|[|6 6|] [|7 7|] [|6 6|]|]_i_j", 2),
+        ("(+ [|1 2 1|]~i [|1 2 1|]_i)", "[|2 4 2|]~_i", 4),
+        ("((flip +) [|1 1|]_i 3)", "[|4 4|]_i", 1),
+        ("(+ 1 2)", "3", 1),
+    ])
+    def test_a_builtin_runs_once_per_distinct_tuple(self, src, printed, n):
+        interp = Interpreter()
+        calls = self.counting(interp, "+")
+        assert format_value(interp.eval_source(src)) == printed
+        assert len(calls) == n
+
+    def test_no_builtin_mixes_tensor_and_scalar_kinds(self):
+        # so a builtin's tensor argument is always a level of its broadcast
+        for b in stdlib.BUILTINS:
+            assert len({k == KIND_TENSOR for k in b.kinds}) == 1, b.name
+
+    def test_a_closure_runs_at_every_position(self):
+        out = run("""
+            (define $h (lambda [$x] (with-symbols {j} (* x j))))
+            (h [|1 1|]_i)
+        """)
+        a, b = out.components
+        assert a is not b and a.name.startswith("#") and b.name.startswith("#")
+
+    def test_a_closure_making_a_dummy_at_each_position_cannot_broadcast(self):
+        with pytest.raises(BroadcastError):
+            run("((lambda [$x] (* x [|1 2|]_#)) [|1 1|]_i)")
+
+    def test_a_failing_tuple_raises_at_its_first_position(self):
+        interp = Interpreter()
+        calls = self.counting(interp, "/")
+        with pytest.raises(DivisionByZeroError) as info:
+            interp.eval_source("(/ [|1 1|]_i [|0 0|]_j)")
+        assert str(info.value) == "division by zero"
+        assert len(calls) == 1
+
+    def test_equals_the_nested_reference_on_the_raw_builtin(self):
+        # Each label has one dimension throughout: the reference reduces
+        # between levels, so a dimension mismatch could meet it before a
+        # failing call that the engine meets first.
+        rng = random.Random(1406)
+        interp = Interpreter()
+        x, y = Symbol("x"), Symbol("y")
+        values = [Integer(-1), Integer(0), Integer(1), x]
+        outcomes = set()
+        for _ in range(400):
+            name = rng.choice(("+", "-", "*", "/", "∂/∂", "(flip -)"))
+            fv = interp.eval_source(name)
+            n = rng.randint(1, 3) if fv.variadic else len(fv.kinds)
+            kinds = fv.kinds * n if fv.variadic else fv.kinds
+            dims = {"i": rng.randint(1, 3), "j": rng.randint(1, 3)}
+            args = [self.random_arg(rng, dims, [y, x, x, Integer(1)] if k != kinds[0]
+                                    else values + [symbolic.mul(x, y)])
+                    for k in kinds]
+            want = self.outcome(
+                lambda: reference_scalar_apply(lambda xs: fv.impl(interp.evaluator, xs),
+                                               kinds, args))
+            got = self.outcome(lambda: interp.evaluator.call(fv, list(args)))
+            assert got == want, (name, args)
+            outcomes.add(want[0])
+        assert outcomes >= {Tensor, DivisionByZeroError, EvalError}
+
+    @staticmethod
+    def random_arg(rng, dims, values):
+        if rng.random() < 0.2:
+            return rng.choice(values)
+        axes = [rng.choice(("i", "j", None)) for _ in range(rng.randint(1, 3))]
+        shape = tuple(dims[a] if a else rng.randint(1, 2) for a in axes)
+        indices = [Index(rng.choice((SUP, SUB)), SymbolLabel(a)) if a else None for a in axes]
+        return make_tensor(shape, [rng.choice(values) for _ in range(math.prod(shape))], indices)
+
+    @staticmethod
+    def outcome(apply):
+        """(type, value) or (type, message) of an error; scalars, so also
+        the components of a tensor, compare by identity."""
+        try:
+            r = apply()
+        except LangError as e:
+            return type(e), str(e)
+        return type(r), r
 
 
 class TestWithSymbols:

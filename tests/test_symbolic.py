@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import threading
@@ -270,6 +271,24 @@ class TestEvalNumericMany:
 
     def test_no_bindings(self):
         assert s.eval_numeric_many([x, s.sin(s.add(x, y)), Integer(2)], []) == [[], [], []]
+
+    def test_leaves_no_float_column_to_the_collector(self):
+        interp = Interpreter()
+        interp.run_source(cli.TORUS_PROGRAM.read_text(encoding="utf-8"))
+        exprs = list(interp.eval_source("R~i_j_k_l").components)
+        envs = [{"θ": 0.1 * k, "φ": 0.2 * k, "a": 1.0, "b": 3.0} for k in range(400)]
+        gc.collect()
+        gc.disable()
+        try:
+            s.eval_numeric_many(exprs, envs)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            columns = [g for g in gc.garbage if isinstance(g, list) and len(g) == len(envs)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert columns == []
 
 
 class TestSubstitute:
