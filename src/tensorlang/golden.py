@@ -1,14 +1,9 @@
 """Golden-case corpus: small source files whose printed results are pinned.
 
-A case file holds ordinary top-level forms.  A comment directly after a
-form pins its value:
-
-    ;=>  expected     token-level comparison (whitespace-insensitive and,
-                      because dummies print as '#', dummy-renaming-safe)
-    ;==> expected     exact printed string
-    ;~>  1.5 @1e-9    numeric comparison with optional absolute tolerance
-
-Files without expectations simply must evaluate without error.
+A case file holds ordinary top-level forms.  A comment `;=> expected`
+directly after a form pins its printed value, compared token by token:
+whitespace does not matter and, because dummies print as '#', neither do
+dummy names.  Files without expectations simply must evaluate without error.
 """
 
 from __future__ import annotations
@@ -19,20 +14,17 @@ from pathlib import Path
 
 from .errors import LangError
 from .lang import Interpreter, tokenize
-from .symbolic import ScalarExpr, eval_numeric
 from .values import format_value
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 GOLDEN_DIR = CORPUS_DIR / "golden"
 
-_EXPECT_RE = re.compile(r"^\s*;(==>|=>|~>)\s*(.*?)\s*$")
+_EXPECT_RE = re.compile(r"^\s*;=>\s*(.*?)\s*$")
 
 
 @dataclass
 class Expectation:
-    mode: str  # "tokens" | "exact" | "numeric"
     text: str
-    tolerance: float
     line: int
 
 
@@ -52,20 +44,9 @@ class CaseResult:
 
 
 def _parse_expectations(source):
-    out = []
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _EXPECT_RE.match(line)
-        if not m:
-            continue
-        marker, text = m.group(1), m.group(2)
-        mode = {"=>": "tokens", "==>": "exact", "~>": "numeric"}[marker]
-        tol = 1e-9
-        if mode == "numeric" and "@" in text:
-            text, tol_text = text.rsplit("@", 1)
-            text = text.strip()
-            tol = float(tol_text)
-        out.append(Expectation(mode, text, tol, lineno))
-    return out
+    return [Expectation(m.group(1), lineno)
+            for lineno, line in enumerate(source.splitlines(), start=1)
+            if (m := _EXPECT_RE.match(line))]
 
 
 def load_case(path):
@@ -94,14 +75,7 @@ def _token_texts(s):
 
 def _check(value, exp):
     printed = format_value(value) if value is not None else ""
-    if exp.mode == "exact":
-        return printed == exp.text, printed
-    if exp.mode == "tokens":
-        return _token_texts(printed) == _token_texts(exp.text), printed
-    if isinstance(value, ScalarExpr):
-        got = eval_numeric(value, {})
-        return abs(got - float(exp.text)) <= exp.tolerance, repr(got)
-    return False, printed
+    return _token_texts(printed) == _token_texts(exp.text), printed
 
 
 def run_case(case):

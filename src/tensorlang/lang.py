@@ -120,6 +120,8 @@ class ShorthandLambda:
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _PLACEHOLDER_RE = re.compile(r"%([0-9]+)\Z")
+_PARAM_RE = re.compile(r"(\*\$|\$|%)(.+)\Z")  # a lambda parameter: marker, name
+_PARAM_KIND = {"*$": KIND_INVERTED, "$": KIND_SCALAR, "%": KIND_TENSOR}
 _MARK_RE = re.compile(r"(~_(?=[^~_])|~|_)([^~_]*)")
 _VARIANCE_OF = {mark: v for v, mark in tensor.VARIANCE_MARK.items()}
 
@@ -252,7 +254,7 @@ class Parser:
             if len(items) != 3 or not isinstance(items[1], BrackList):
                 raise ParseError("lambda expects [parameters] and a body", *node.pos)
             for p in items[1].items:
-                if not isinstance(p, Var) or not re.match(r"(\*\$|\$|%).+\Z", p.name):
+                if not isinstance(p, Var) or not _PARAM_RE.match(p.name):
                     got = getattr(p, "name", p)
                     raise ParseError(
                         f"bad parameter marker {got!r} (use $name, %name or *$name)",
@@ -389,16 +391,8 @@ class Evaluator:
         return self.call(fv, args)
 
     def _lambda(self, node, env):
-        params = []
-        for p in node.items[1].items:
-            name = p.name
-            if name.startswith("*$"):
-                params.append((KIND_INVERTED, name[2:]))
-            elif name.startswith("$"):
-                params.append((KIND_SCALAR, name[1:]))
-            else:
-                params.append((KIND_TENSOR, name[1:]))
-        return _closure(params, node.items[2], env)
+        marked = (_PARAM_RE.match(p.name).groups() for p in node.items[1].items)
+        return _closure([(_PARAM_KIND[m], name) for m, name in marked], node.items[2], env)
 
     def _define(self, node, env):
         target, body = node.items[1], node.items[2]
@@ -461,15 +455,17 @@ class Evaluator:
         elif len(args) != len(kinds):
             raise ArityError(f"{fv.name or 'function'} expects {len(kinds)} "
                              f"arguments, got {len(args)}")
-        if all(k == KIND_TENSOR for k in kinds):
+        # The paper's rule: a tensor passed for a scalar-kind parameter is a
+        # level to map over; with no level the function is called as is.
+        # Every tensor value is index-reduced when it is made, so a plain
+        # call needs no reduce_indices.
+        if not any(k != KIND_TENSOR and isinstance(a, Tensor) for k, a in zip(kinds, args)):
             return fv.impl(self, args)
-        # No builtin mixes tensor-kind and scalar-kind parameters, so a
-        # builtin's tensor argument here is a level.  A builtin is a function
-        # of its arguments and equal components are one interned object, so
-        # it runs once per distinct tuple (args keeps every keyed id alive);
-        # a closure can make fresh names, so it runs at every position.
-        if not fv.name or Tensor not in map(type, args):
+        if not fv.name:  # a closure can make fresh names: run it at every position
             return tensor.scalar_apply(lambda xs: fv.impl(self, xs), kinds, args)
+        # A builtin is a function of its arguments and equal components are
+        # one interned object, so it runs once per distinct tuple (args keeps
+        # every keyed id alive).
         memo = {}
         def once(xs):
             key = tuple(map(id, xs))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_STEP = 1e-5
+STEP = 1e-5  # central-difference step of every derivative here
 
 
 def embedding(a, b, theta, phi):
@@ -27,15 +27,15 @@ def embedding(a, b, theta, phi):
     return np.stack([w * np.cos(phi), w * np.sin(phi), a * np.sin(theta)], axis=-1)
 
 
-def basis_fd(a, b, theta, phi, h=DEFAULT_STEP):
+def basis_fd(a, b, theta, phi):
     """Rows are the coordinate basis vectors, by central differences."""
-    return np.stack([embedding(a, b, theta + h, phi) - embedding(a, b, theta - h, phi),
-                     embedding(a, b, theta, phi + h) - embedding(a, b, theta, phi - h)],
-                    axis=-2) / (2 * h)
+    return np.stack([embedding(a, b, theta + STEP, phi) - embedding(a, b, theta - STEP, phi),
+                     embedding(a, b, theta, phi + STEP) - embedding(a, b, theta, phi - STEP)],
+                    axis=-2) / (2 * STEP)
 
 
-def metric_fd(a, b, theta, phi, h=DEFAULT_STEP):
-    e = basis_fd(a, b, theta, phi, h)
+def metric_fd(a, b, theta, phi):
+    e = basis_fd(a, b, theta, phi)
     return e @ np.swapaxes(e, -1, -2)
 
 
@@ -51,35 +51,35 @@ def metric(a, b, theta, phi):
     return g
 
 
-def _metric_partials(a, b, theta, phi, h):
+def _metric_partials(a, b, theta, phi):
     """dg[k][i][j] = d g_ij / d x^k with x = (θ, φ)."""
-    return np.stack([metric(a, b, theta + h, phi) - metric(a, b, theta - h, phi),
-                     metric(a, b, theta, phi + h) - metric(a, b, theta, phi - h)],
-                    axis=-3) / (2 * h)
+    return np.stack([metric(a, b, theta + STEP, phi) - metric(a, b, theta - STEP, phi),
+                     metric(a, b, theta, phi + STEP) - metric(a, b, theta, phi - STEP)],
+                    axis=-3) / (2 * STEP)
 
 
-def christoffel_first(a, b, theta, phi, h=DEFAULT_STEP):
+def christoffel_first(a, b, theta, phi):
     """C1[i][j][k] = (d_k g_ij + d_j g_ik - d_i g_jk) / 2."""
-    dg = _metric_partials(a, b, theta, phi, h)
+    dg = _metric_partials(a, b, theta, phi)
     return 0.5 * (np.einsum("...kij->...ijk", dg) + np.einsum("...jik->...ijk", dg) - dg)
 
 
-def christoffel_second(a, b, theta, phi, h=DEFAULT_STEP):
+def christoffel_second(a, b, theta, phi):
     """C2[i][k][l] = g^{ij} C1[j][k][l]."""
     g = metric(a, b, theta, phi)
-    c1 = christoffel_first(a, b, theta, phi, h)
+    c1 = christoffel_first(a, b, theta, phi)
     inv = np.linalg.inv(g)
     return np.einsum("...ij,...jkl->...ikl", inv, c1)
 
 
-def riemann(a, b, theta, phi, h=DEFAULT_STEP):
+def riemann(a, b, theta, phi):
     """R[i][j][k][l] = d_k C2[i][j][l] - d_l C2[i][j][k]
                      + C2[m][j][l] C2[i][m][k] - C2[m][j][k] C2[i][m][l]."""
-    c2 = christoffel_second(a, b, theta, phi, h)
-    dc = np.stack([christoffel_second(a, b, theta + h, phi, h)
-                   - christoffel_second(a, b, theta - h, phi, h),
-                   christoffel_second(a, b, theta, phi + h, h)
-                   - christoffel_second(a, b, theta, phi - h, h)], axis=-4) / (2 * h)
+    c2 = christoffel_second(a, b, theta, phi)
+    dc = np.stack([christoffel_second(a, b, theta + STEP, phi)
+                   - christoffel_second(a, b, theta - STEP, phi),
+                   christoffel_second(a, b, theta, phi + STEP)
+                   - christoffel_second(a, b, theta, phi - STEP)], axis=-4) / (2 * STEP)
     r = np.zeros_like(dc)
     for i in range(2):
         for j in range(2):

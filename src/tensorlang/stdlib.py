@@ -92,7 +92,7 @@ def _impl_tensor_map(ev, args):
     arity = _function_arity(f)
     if arity is not None and arity != 1:
         raise ArityError("tensor-map needs a one-argument function")
-    return tensor.scalar_apply(lambda xs: ev.call(f, xs), (KIND_SCALAR,), [t])
+    return ev.call(FunctionValue(None, (KIND_SCALAR,), lambda ev, xs: ev.call(f, xs)), [t])
 
 
 def _impl_flip_indices(ev, args):

@@ -315,7 +315,7 @@ def _layout(value):
 
 def scalar_apply(call, kinds, args):
     """Componentwise mapping over the scalar-kind tensor arguments (the
-    levels), then index reduction.
+    levels), then index reduction; `Evaluator.call` uses it only with a level.
 
     Tensor-kind arguments and plain scalars pass through whole; an
     inverted-scalar argument has its indices flipped first.  `call`

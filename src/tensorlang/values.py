@@ -17,12 +17,14 @@ _MISSING = object()
 class FunctionValue:
     """A function: its per-parameter kinds (one kind repeated for any
     count of at least one argument when `variadic` is set) and `impl`,
-    called as `impl(evaluator, args)` on arguments already broadcast
-    over the scalar-kind parameters.  Builtins have a name; closures made
-    by `lambda` or `N#...` have none.  A builtin with a scalar-kind
-    parameter is a function of its arguments: the same argument objects
-    give the same result, or the same error, so broadcasting calls it once
-    per distinct tuple of components."""
+    called as `impl(evaluator, args)`.  A tensor passed for a scalar-kind
+    or inverted-scalar parameter is a level: `impl` then sees its
+    components, one position of the levels' outer product at a time;
+    otherwise it sees the arguments as passed.  Builtins have a name;
+    closures made by `lambda` or `N#...` have none.  A builtin with a
+    scalar-kind parameter is a function of its arguments: the same
+    argument objects give the same result, or the same error, so
+    broadcasting calls it once per distinct tuple of components."""
     name: Optional[str]
     kinds: tuple
     impl: Callable

@@ -13,11 +13,11 @@ def test_every_case_passes():
 
 
 def test_expectation_parsing_modes(tmp_path):
-    src = "(+ 1 2)\n;=> 3\n(/ 1 2)\n;~> 0.5 @1e-12\n"
+    src = "(+ 1 2)\n;=> 3\n(/ 1 2)\n;=> (/ 1 2)\n"
     p = tmp_path / "modes.tl"
     p.write_text(src, encoding="utf-8")
     case = golden.load_case(p)
-    assert [e.mode for e in case.expectations] == ["tokens", "numeric"]
+    assert [(e.text, e.line) for e in case.expectations] == [("3", 2), ("(/ 1 2)", 4)]
     result = golden.run_case(case)
     assert result.passed and result.checks == 2
 

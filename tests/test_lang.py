@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorlang import Interpreter, format_value
-from tensorlang import cli, lang, stdlib, symbolic
+from tensorlang import cli, golden, lang, stdlib, symbolic, tensor
 from tensorlang.errors import (ArityError, BroadcastError, DepthError,
                                DivisionByZeroError, EvalError, LangError, ParseError)
 from tensorlang.lang import (BraceList, Indexed, ListForm, NumberLit,
                              ShorthandLambda, TensorLit, Var, parse_forms)
 from tensorlang.symbolic import Integer, Symbol
-from tensorlang.tensor import (KIND_TENSOR, SUB, SUP, SUPSUB, Index, SymbolLabel,
-                               Tensor, make_tensor)
+from tensorlang.tensor import (KIND_INVERTED, KIND_SCALAR, KIND_TENSOR, SUB, SUP,
+                               SUPSUB, Index, SymbolLabel, Tensor, make_tensor)
 from tensorlang.values import FunctionValue
 
 from helpers import reference_scalar_apply
@@ -238,6 +238,7 @@ class TestCallPath:
         ("((flip (lambda [$x $y] (- x y))) 1 5)", "4"),
         ("((flip -) [|1 2|]_i [|10 20|]_j)", "[|[|9 19|] [|8 18|]|]_i_j"),
         ("((flip ∂/∂) [|x y|]_i (* x y))", "[|y x|]~i"),
+        ("((lambda [*$x $y %z] (+ x y)) [|1 2|]~i [|10 20|]_i [|0|])", "[|11 22|]_i"),
     ])
     def test_values(self, src, printed):
         assert show(src) == printed
@@ -342,6 +343,50 @@ class TestBroadcastOncePerTuple:
         except LangError as e:
             return type(e), str(e)
         return type(r), r
+
+
+class TestParameterRule:
+    """A tensor passed for a scalar-kind parameter is a level to map over;
+    in every other case the function is called as is."""
+
+    @pytest.mark.parametrize("src, printed, broadcasts", [
+        ("(+ 1 2)", "3", 0),
+        ("(contract + (* [|1 2 3|]~i [|4 5 6|]_i))", "32", 1),
+        ("(tensor-map (lambda [$x] (* x x)) [|1 2 3|]_i)", "[|1 4 9|]_i", 1),
+    ])
+    def test_only_a_call_with_a_level_broadcasts(self, monkeypatch, src, printed, broadcasts):
+        calls = []
+        real = tensor.scalar_apply
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(tensor, "scalar_apply", counting)
+        assert show(src) == printed
+        assert len(calls) == broadcasts
+
+    def test_markers_give_kinds(self):
+        assert run("(lambda [*$a $b %c] a)").kinds == (KIND_INVERTED, KIND_SCALAR, KIND_TENSOR)
+
+    def test_every_value_is_already_index_reduced(self, monkeypatch):
+        # Evaluator.call skips reduce_indices on a call with no level.
+        seen = {}
+        real_eval, real_call = lang.Evaluator.eval, lang.Evaluator.call
+
+        def keep(v):
+            if isinstance(v, Tensor) and id(v) not in seen:
+                seen[id(v)] = v
+                for c in v.components:
+                    keep(c)
+            return v
+        monkeypatch.setattr(lang.Evaluator, "eval", lambda ev, *a: keep(real_eval(ev, *a)))
+        monkeypatch.setattr(lang.Evaluator, "call", lambda ev, *a: keep(real_call(ev, *a)))
+        sources = [c.source for c in golden.load_cases()]
+        sources.append((golden.CORPUS_DIR / "torus.tl").read_text(encoding="utf-8"))
+        for source in sources:
+            Interpreter().run_source(source)
+        assert len(seen) > 200
+        assert [v for v in seen.values() if tensor.reduce_indices(v) is not v] == []
 
 
 class TestWithSymbols:

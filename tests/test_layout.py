@@ -51,3 +51,33 @@ def test_only_the_oracle_and_the_cli_import_numpy():
     users = {path.name for path in SRC.glob("*.py")
              if any(module.split(".")[0] == "numpy" for module, _ in imports(path))}
     assert users == {"oracle.py", "cli.py"}
+
+
+def mentions(path, name):
+    """Qualified name of the def or class around each mention of `name` in
+    the file (as a name, an attribute or an import), and the qualified name
+    of each def of `name` itself."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name == name:
+                    found.append(".".join(scope + [name]))
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and child.name == name):
+                found.append(".".join(scope))
+            visit(child, scope)
+    visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return found
+
+
+def test_only_evaluator_call_broadcasts():
+    # The paper's parameter rule is decided in one place: a builtin that
+    # maps over components goes through a call with a scalar-kind parameter.
+    found = {(path.name, where) for path in SRC.glob("*.py")
+             for where in mentions(path, "scalar_apply")}
+    assert found == {("tensor.py", "scalar_apply"), ("lang.py", "Evaluator.call")}
