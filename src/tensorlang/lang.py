@@ -3,6 +3,7 @@ lambda parameter kinds, with-symbols scoping, and indexed definitions."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
 from dataclasses import dataclass
@@ -291,6 +292,9 @@ def parse_forms(text):
 class Evaluator:
     def __init__(self):
         self._local_ids = itertools.count(1)
+        # symbol name -> {node: its derivative}, filled by ∂/∂ for the life
+        # of this evaluator, so a node is differentiated once per symbol
+        self.derivatives = collections.defaultdict(dict)
 
     # value of a node in an environment
     def eval(self, node, env):
@@ -442,7 +446,7 @@ class Evaluator:
             value = tensor.transpose(order, value)
         renamed = {name: symbolic.Symbol(f"#{next(self._local_ids)}")
                    for name in local.values()}
-        return _strip_locals(value, renamed)
+        return _strip_locals(value, renamed, {})
 
     # --- application ----------------------------------------------------------
 
@@ -487,18 +491,19 @@ def _closure(params, body, env):
     return FunctionValue(None, tuple(k for k, _ in params), impl)
 
 
-def _strip_locals(val, renamed):
+def _strip_locals(val, renamed, memo):
     """val with each axis labelled by a renamed local made a fresh dummy,
-    and each renamed local in a scalar replaced by its new symbol."""
+    and each renamed local in a scalar replaced by its new symbol; `memo`
+    is the scope's one substitution memo, so shared subtrees are renamed once."""
     if isinstance(val, Tensor):
         new_ix = [tensor.fresh_dummy(ix.variance)
                   if ix is not None and isinstance(ix.label, SymbolLabel)
                   and ix.label.name in renamed else ix
                   for ix in val.indices]
-        comps = [_strip_locals(c, renamed) for c in val.components]
+        comps = [_strip_locals(c, renamed, memo) for c in val.components]
         return tensor.make_tensor(val.shape, comps, new_ix)
     if isinstance(val, symbolic.ScalarExpr):
-        return symbolic.substitute(val, renamed)
+        return symbolic.substitute(val, renamed, memo)
     return val
 
 

@@ -63,7 +63,7 @@ def _impl_partial(ev, args):
     if not isinstance(x, Symbol):
         raise EvalError(
             f"cannot differentiate with respect to {symbolic.format_scalar(_want_scalar('∂/∂', x))}")
-    return differentiate(f, x.name)
+    return differentiate(f, x.name, ev.derivatives[x.name])
 
 
 # --- tensor builtins -----------------------------------------------------------

@@ -181,22 +181,26 @@ def _scalar(e):
     return e
 
 
-def _fold(roots, visit):
+def _fold(roots, visit, memo=None):
     """Post-order fold: `visit(node, folded children)` runs once per
     distinct node of the DAG under all the roots, children left to right.
-    The list of the roots' values, in order."""
-    if len(roots) == 1 and type(roots[0]) in (Integer, Rational, Symbol):
-        return [visit(roots[0], [])]  # a lone leaf needs no memo
-    memo = {}
+    The list of the roots' values, in order.  A caller's `memo` (node ->
+    value, for this one `visit`) is read first and keeps every new value,
+    so later folds skip the nodes it holds."""
+    own = memo is None
+    if own:
+        if len(roots) == 1 and type(roots[0]) in (Integer, Rational, Symbol):
+            return [visit(roots[0], [])]  # a lone leaf needs no memo
+        memo = {}
     def go(x):
-        k = id(x)  # x stays alive under a root, so its id is not reused
-        if k not in memo:
-            memo[k] = visit(x, [go(c) for c in _children(x)])
-        return memo[k]
+        if x not in memo:  # nodes hash by identity, and a key keeps its node alive
+            memo[x] = visit(x, [go(c) for c in _children(x)])
+        return memo[x]
     try:
         return [go(_scalar(e)) for e in roots]  # the children of a node are nodes
     finally:
-        memo.clear()  # go refers to itself, so the memo would wait for the collector
+        if own:
+            memo.clear()  # go refers to itself, so the memo would wait for the collector
 
 
 def _children(e):
@@ -354,8 +358,10 @@ def cos(e):
 # --- differentiation --------------------------------------------------------
 
 
-def differentiate(e, name):
-    """Partial derivative with respect to the symbol called `name`."""
+def differentiate(e, name, memo=None):
+    """Partial derivative with respect to the symbol called `name`.  A
+    `memo` kept for that one name is passed to the fold, so a node
+    differentiated before is not walked again."""
     def visit(x, d):
         t = type(x)
         if t is Symbol:
@@ -373,14 +379,15 @@ def differentiate(e, name):
             return mul(MINUS_ONE, sin(x.arg), d[0])
         return ZERO
 
-    return _fold([e], visit)[0]
+    return _fold([e], visit, memo)[0]
 
 
 # --- substitution and numeric evaluation ------------------------------------
 
 
-def substitute(e, mapping):
-    """e with every symbol named in `mapping` replaced by its value there."""
+def substitute(e, mapping, memo=None):
+    """e with every symbol named in `mapping` replaced by its value there;
+    calls that share one `mapping` may share one fold `memo`."""
     for r in mapping.values():
         _scalar(r)
 
@@ -389,7 +396,7 @@ def substitute(e, mapping):
             return mapping.get(x.name, x)
         return _rebuild(x, kids)
 
-    return _fold([e], visit)[0]
+    return _fold([e], visit, memo)[0]
 
 
 def eval_numeric(e, env):
@@ -519,6 +526,8 @@ _FORMAT = {
 
 def format_scalar(e):
     """Prefix S-expression form, e.g. (* -1 r (sin θ))."""
+    if type(e) is Integer:
+        return str(e.value)
     return _fold([e], lambda x, kids: _FORMAT[type(x)](x, kids))[0]
 
 

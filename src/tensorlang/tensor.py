@@ -336,7 +336,8 @@ def scalar_apply(call, kinds, args):
     if not levels:
         return reduce_indices(results[0])
     inner = _layout(results[0])
-    if any(_layout(r) != inner for r in results):
+    if (Tensor in map(type, results) if inner is None
+            else any(_layout(r) != inner for r in results)):
         raise BroadcastError("componentwise results do not share one shape and index list")
     # The reductions run on a plan whose components are offsets into the
     # flat outer product; the kept offsets are read once at the end.

@@ -413,6 +413,18 @@ class TestWithSymbols:
         (name,) = set(re.findall(r"#[0-9]+", out))
         assert out == f"[|{name} (* 2 {name})|]"
 
+    @pytest.mark.parametrize("body", ["[|(* 2 j) (* 2 j x)|]_i",
+                                      "[|(sin (* 2 j)) (cos (* 2 j)) (* 2 j)|]"])
+    def test_one_symbol_when_components_share_subtrees(self, body):
+        # the scope's components share one renaming memo
+        out = show(f"(with-symbols {{j}} {body})")
+        assert len(set(re.findall(r"#[0-9]+", out))) == 1 and "%" not in out
+
+    def test_nested_scopes_rename_only_their_own_locals(self):
+        # the inner scope's renaming memo maps the outer local to itself
+        out = show("(with-symbols {i} (with-symbols {j} [|i j (* i j)|]))")
+        assert "%" not in out and len(set(re.findall(r"#[0-9]+", out))) == 2
+
     def test_escaping_locals_numbered_in_declaration_order(self):
         out = show("(with-symbols {k i j} [|i j k|])")
         i, j, k = (int(n) for n in re.findall(r"#([0-9]+)", out))
@@ -424,6 +436,20 @@ class TestWithSymbols:
         a = format_value(it.eval_source(src))
         b = format_value(it.eval_source(src))
         assert a == b  # dummies print without their ids
+
+
+class TestRememberedDerivatives:
+    def test_fresh_interpreter_remembers_nothing(self):
+        assert Interpreter().evaluator.derivatives == {}
+
+    def test_torus_differentiates_each_node_once(self):
+        torus = (golden.CORPUS_DIR / "torus.tl").read_text(encoding="utf-8")
+        first, second = Interpreter(), Interpreter()
+        first.run_source(torus)
+        memo = first.evaluator.derivatives
+        assert set(memo) == {"θ", "φ"}
+        assert 0 < sum(map(len, memo.values())) <= 94
+        assert second.evaluator.derivatives == {}
 
 
 class TestDefine:

@@ -129,6 +129,16 @@ class TestDifferentiate:
             assert abs(exact - fd) <= 1e-6 * (1 + abs(fd)), fmt(e)
             checked += 1
 
+    def test_shared_memo_gives_the_same_nodes(self):
+        # one memo per symbol outlives each call, as an evaluator's does
+        rng = random.Random(16)
+        memos = {name: {} for name in ("x", "y", "z")}
+        for _ in range(4000):
+            e = random_scalar_expr(rng)
+            name = rng.choice(("x", "y", "z"))
+            assert s.differentiate(e, name, memos[name]) is s.differentiate(e, name), fmt(e)
+        assert all(memos.values())
+
 
 class TestExpandAndSimplify:
     def test_pythagorean_with_common_factor(self):
