@@ -140,7 +140,8 @@ def demo_torus(seed=1234, samples=20, out=None):
 
     zero_bound = max(v for (i, j, k, l), v in peak.items() if k == l)
     r_at = dict(zip(positions(riemann.shape), riemann.components))
-    structurally_nonzero = all(expand_and_simplify(r_at[pos]) != ZERO and peak[pos] > 1e-4
+    memo = {}  # the four components share subtrees: each node is expanded once
+    structurally_nonzero = all(expand_and_simplify(r_at[pos], memo) != ZERO and peak[pos] > 1e-4
                                for pos in _NONZERO_R)
     zeros_ok = zero_bound <= 1e-6
 
@@ -181,6 +182,8 @@ def main(argv=None):
         return repl()
     if args.mode == "test":
         return run_golden(args.name_filter)
+    if args.samples < 1:
+        p_demo.error(f"argument --samples: must be at least 1, got {args.samples}")
     return demo_torus(seed=args.seed, samples=args.samples)
 
 

@@ -4,7 +4,7 @@ flip, and the matrix/vector helpers."""
 
 from __future__ import annotations
 
-from . import symbolic, tensor
+from . import lang, symbolic, tensor
 from .errors import ArityError, EvalError, SingularMatrixError
 from .symbolic import (Integer, ScalarExpr, Symbol, add, cos, decide_equal,
                        differentiate, div, expand_and_simplify, mul,
@@ -21,6 +21,7 @@ PRELUDE = """
   (lambda [%m1 %m2] (with-symbols {j} (contract + (* m1~#~j m2_j_#)))))
 (define $V.* inner-product)
 """
+_PRELUDE_FORMS = lang.parse_program(PRELUDE)  # parsed once: evaluation never changes a form
 
 
 def _want_scalar(name, v):
@@ -147,7 +148,7 @@ def _impl_flip(ev, args):
                          lambda ev2, a: f.impl(ev2, [a[1], a[0]]))
 
 
-def _matrix_entries(name, t):
+def _matrix_entries(name, t, memo):
     if not isinstance(t, Tensor) or t.rank != 2 or t.shape[0] != t.shape[1]:
         raise EvalError(f"{name} expects a square rank-2 tensor")
     n = t.shape[0]
@@ -158,7 +159,7 @@ def _matrix_entries(name, t):
         row = []
         for j in range(1, n + 1):
             c = tensor.component_at(t, (i, j))
-            row.append(expand_and_simplify(_want_scalar(name, c)))
+            row.append(expand_and_simplify(_want_scalar(name, c), memo))
         rows.append(row)
     return rows
 
@@ -176,10 +177,11 @@ def _det(rows):
 
 
 def _impl_mat_inverse(ev, args):
-    rows = _matrix_entries("M.inverse", args[0])
+    memo = {}  # one expansion memo: det is walked once, not once per entry
+    rows = _matrix_entries("M.inverse", args[0], memo)
     n = len(rows)
     det = _det(rows)
-    if expand_and_simplify(det) == symbolic.ZERO:
+    if expand_and_simplify(det, memo) == symbolic.ZERO:
         raise SingularMatrixError("matrix has a canonically zero determinant")
     comps = []
     for i in range(n):
@@ -189,7 +191,7 @@ def _impl_mat_inverse(ev, args):
             cof = _det(minor) if n > 1 else symbolic.ONE
             if (i + j) % 2 == 1:
                 cof = symbolic.neg(cof)
-            comps.append(expand_and_simplify(div(cof, det)))
+            comps.append(expand_and_simplify(div(cof, det), memo))
     return tensor.make_tensor((n, n), comps)
 
 
@@ -217,4 +219,5 @@ BUILTINS = [
 def install(interp):
     for b in BUILTINS:
         interp.globals.define(b.name, b)
-    interp.run_source(PRELUDE)
+    for node, _, _ in _PRELUDE_FORMS:
+        interp.evaluator.eval(node, interp.globals)

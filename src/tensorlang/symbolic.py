@@ -300,15 +300,30 @@ def _factors(m):
 
 def _sum(terms):
     """Canonical sum of canonical terms."""
-    by_mono = {}  # monomial (None for the constant) -> coefficient
+    return _build(_collect(terms, {}))
+
+
+def _collect(terms, by_mono):
+    """Add canonical terms (a Sum adds its own) into `by_mono`, monomial
+    (None for the constant) -> coefficient.  A monomial whose coefficient
+    reaches 0 leaves the table, so one made again comes last."""
     for t in terms:
         for u in t.terms if type(t) is Sum else (_scalar(t),):
             coeff, mono = _split_term(u)
-            by_mono[mono] = by_mono.get(mono, 0) + coeff
-    const = by_mono.pop(None, 0)
+            c = by_mono.get(mono, 0) + coeff
+            if c != 0:
+                by_mono[mono] = c
+            else:
+                by_mono.pop(mono, None)  # the term 0 may find no entry
+    return by_mono
+
+
+def _build(by_mono):
+    """The canonical node of a table from `_collect`."""
     parts = [mono if coeff == 1 else _make(Product, (from_fraction(coeff), *_factors(mono)))
-             for mono, coeff in by_mono.items() if coeff != 0]  # mono is never a Sum
+             for mono, coeff in by_mono.items() if mono is not None]  # mono is never a Sum
     parts.sort(key=_key)
+    const = by_mono.get(None, 0)
     if const != 0 or not parts:
         parts.insert(0, from_fraction(const))
     return parts[0] if len(parts) == 1 else _make(Sum, tuple(parts))
@@ -434,11 +449,12 @@ def eval_numeric_many(exprs, envs):
 # --- expansion and the Pythagorean rewrite ----------------------------------
 
 
-def expand_and_simplify(e):
+def expand_and_simplify(e, memo=None):
     """Distribute products over sums, collect like terms, and apply
     sin^2(u) + cos^2(u) -> 1 wherever the two terms share coefficient
-    and remaining factors."""
-    return _pythagoras(_fold([e], _expand_visit)[0])
+    and remaining factors.  Calls may share one fold `memo`, so a node
+    expanded before is not walked again."""
+    return _pythagoras(_fold([e], _expand_visit, memo)[0])
 
 
 def _distribute(factors):
@@ -469,29 +485,31 @@ def _expand_visit(e, kids):
 def _pythagoras(e):
     """Merge pairs of terms c1·p·sin²u, c2·p·cos²u of one sign until none is
     left: a, the coefficient of smaller magnitude, moves from both onto a·p.
-    Each scan reads e's terms in order, then merged terms in order made."""
-    order = []  # monomials in scan order; the constant never pairs, so it is left out
-    while type(e) is Sum:
-        coeff = {m: c for c, m in map(_split_term, e.terms) if m is not None}
-        order = list(dict.fromkeys([m for m in order if m in coeff] + list(coeff)))
-        pair = next(_pairs(order, coeff), None)
-        if pair is None:
-            break
+    e's terms are collected once into one table, and each merge collects
+    its three new terms into it; the table's order is the scan order: e's
+    terms in order, then each monomial a merge makes, in the order made.
+    The sum is built once, at the end: e itself when nothing merges."""
+    if type(e) is not Sum:
+        return e
+    table = _collect(e.terms, {})
+    merged = False
+    while (pair := next(_pairs(table), None)) is not None:
         a, m, s, partner = pair
-        e = add(e, mul(from_fraction(a), m, _pow(s, -2)),
-                mul(from_fraction(-a), m), mul(from_fraction(-a), partner))
-    return e
+        _collect((mul(from_fraction(a), m, _pow(s, -2)),
+                  mul(from_fraction(-a), m), mul(from_fraction(-a), partner)), table)
+        merged = True
+    return _build(table) if merged else e
 
 
-def _pairs(order, coeff):
+def _pairs(table):
     """Each (a, m, sin u, partner) in scan order: m holds sin(u)^n, n >= 2,
     and a is whichever of their coefficients is smaller in magnitude."""
-    for m in order:
-        for f in _factors(m):
+    for m, c1 in table.items():
+        for f in _factors(m) if m is not None else ():  # the constant never pairs
             if (type(f) is Power and f.exponent >= 2
                     and type(f.base) is Apply and f.base.fn == "sin"):
                 partner = _partner(m, f.base)
-                c1, c2 = coeff[m], coeff.get(partner, 0)
+                c2 = table.get(partner, 0) if partner is not None else 0
                 if c1 * c2 > 0:
                     yield (c1 if abs(c1) <= abs(c2) else c2), m, f.base, partner
 

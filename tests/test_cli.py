@@ -71,6 +71,16 @@ def test_demo_subcommand_small(capsys):
     assert "demo PASSED" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_demo_rejects_fewer_than_one_sample(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["demo-torus", "--samples", samples])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --samples: must be at least 1, got {samples}" in err
+
+
 BUMPED_DEMO = """\
 torus demo: 12 random bindings (seed 1234)
   worst relative gap vs oracle: 1.000e+00 (tolerance 1e-4)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tensorlang import Interpreter, format_value
+from tensorlang import Interpreter, format_value, lang
 from tensorlang.errors import (ArityError, ComparisonError,
                                DimensionMismatchError, EvalError,
                                SingularMatrixError)
@@ -35,6 +35,22 @@ class TestMin:
     def test_symbolic_rejected(self, it):
         with pytest.raises(ComparisonError):
             it.eval_source("(min x 1)")
+
+
+class TestPrelude:
+    def test_a_redefinition_stays_in_its_interpreter(self):
+        first, second = Interpreter(), Interpreter()
+        first.eval_source("(define $min (lambda [$x $y] y))")
+        assert show(first, "(min 1 10)") == "10"
+        assert show(second, "(min 1 10)") == "1"
+        assert show(Interpreter(), "(min 1 10)") == "1"
+
+    def test_a_second_interpreter_parses_nothing(self, monkeypatch):
+        Interpreter()
+        calls = []
+        monkeypatch.setattr(lang, "parse_program", calls.append)
+        Interpreter()
+        assert calls == []
 
 
 class TestDot:

@@ -1,8 +1,12 @@
 import gc
+import operator
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -201,37 +205,97 @@ class TestExpandAndSimplify:
         e = s.add(s.mul(a, s.powi(s.sin(th), 4)), s.mul(a, s.powi(s.cos(th), 2)))
         before = len(s._interned)
         assert s._pythagoras(e) is e
+        assert s.expand_and_simplify(e) is e
         assert len(s._interned) == before
 
     def test_rewrite_is_the_reference_rewrite_on_seeded_pairs(self):
-        rng = random.Random(1702)
-        a, b, ph = Symbol("a"), Symbol("b"), Symbol("φ")
-        args = (th, ph, s.add(th, ph), s.mul(Integer(2), th))
-        monos = (Integer(1), a, s.mul(a, b), s.powi(b, -1), s.powi(a, 2))
-        coeffs = (1, 2, 3, Fraction(1, 2), Fraction(5, 3))
-
-        def term(c, m, u, k, l):
-            return s.mul(s.from_fraction(Fraction(c)), m,
-                         s.powi(s.sin(u), k), s.powi(s.cos(u), l))
-
-        for _ in range(3000):
-            # c1·m·sin(u)^(k+2)·cos(u)^l and c2·m·sin(u)^k·cos(u)^(l+2), one sign
-            u, m, k, l = rng.choice(args), rng.choice(monos), rng.randint(0, 2), rng.randint(0, 2)
-            sign = rng.choice((1, -1))
-            pair = (term(sign * rng.choice(coeffs), m, u, k + 2, l),
-                    term(sign * rng.choice(coeffs), m, u, k, l + 2))
-            paired = {s._split_term(t)[1] for t in pair}
-            extra = []
-            for _ in range(rng.randint(0, 4)):
-                t = term(rng.choice((1, -1)) * rng.choice(coeffs), rng.choice(monos),
-                         rng.choice(args), rng.randint(0, 4), rng.randint(0, 4))
-                if s._split_term(t)[1] not in paired:  # keep the pair's coefficients
-                    extra.append(t)
-            e = s.add(*pair, *extra)
+        for e in seeded_pair_sums(3000):
             merged = s._pythagoras(e)
             assert merged is not e
             assert merged is reference_pythagoras(e)
             assert s.expand_and_simplify(merged) is merged
+
+    @pytest.mark.parametrize("terms", [
+        # (c, i, j) for c·x·sin(θ)^i·cos(θ)^j: one merge zeroes a monomial
+        # and a later one makes it again, so it is scanned last
+        [(2, 2, 4), (3, 4, 2), (1, 0, 4), (1, 4, 0), (1, 6, 0)],
+        [(2, 2, 2), (2, 4, 2), (3, 0, 4), (1, 2, 4), (1, 4, 0)],
+        [(2, 4, 2), (2, 4, 4), (3, 2, 4), (3, 6, 0), (1, 6, 2)],
+        [(3, 2, 4), (1, 4, 2), (1, 6, 2), (1, 4, 4), (1, 6, 0)],
+        [(2, 4, 2), (2, 0, 4), (2, 4, 0), (2, 6, 0), (3, 2, 2)],
+    ])
+    def test_a_monomial_zeroed_and_made_again_is_scanned_last(self, terms):
+        e = s.add(*[s.mul(Integer(c), x, s.powi(s.sin(th), i), s.powi(s.cos(th), j))
+                    for c, i, j in terms])
+        assert s._pythagoras(e) is reference_pythagoras(e)
+
+    def test_a_shared_memo_gives_the_same_nodes(self):
+        for exprs in (seeded_pair_sums(300), torus_riemann()):
+            alone = [s.expand_and_simplify(e) for e in exprs]
+            for step in (1, -1):  # forward, then reversed
+                memo = {}
+                shared = [s.expand_and_simplify(e, memo) for e in exprs[::step]]
+                assert all(map(operator.is_, shared, alone[::step]))
+                assert memo
+
+    def test_expanding_the_torus_curvature_makes_few_nodes_and_splits(self):
+        # a fresh process, so no earlier test has interned the results
+        script = """if True:
+            from tensorlang import Interpreter, cli, symbolic as s
+            interp = Interpreter()
+            interp.run_source(cli.TORUS_PROGRAM.read_text(encoding="utf-8"))
+            R = interp.eval_source("R~i_j_k_l").components
+            split, calls = s._split_term, []
+            s._split_term = lambda t: calls.append(t) or split(t)
+            before = len(s._interned)
+            for c in R:
+                s.expand_and_simplify(c)
+            print(len(s._interned) - before, len(calls))
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True, timeout=60).stdout
+        nodes, splits = map(int, out.split())
+        assert nodes <= 258  # 315 when each merge collected the whole sum again
+        assert splits <= 1000  # 2,892 then
+
+
+def seeded_pair_sums(count):
+    """`count` seeded sums, each of a same-sign pair c1·m·sin(u)^(k+2)·cos(u)^l,
+    c2·m·sin(u)^k·cos(u)^(l+2) and 0-4 random terms that never share the
+    pair's monomials."""
+    rng = random.Random(1702)
+    a, b, ph = Symbol("a"), Symbol("b"), Symbol("φ")
+    args = (th, ph, s.add(th, ph), s.mul(Integer(2), th))
+    monos = (Integer(1), a, s.mul(a, b), s.powi(b, -1), s.powi(a, 2))
+    coeffs = (1, 2, 3, Fraction(1, 2), Fraction(5, 3))
+
+    def term(c, m, u, k, l):
+        return s.mul(s.from_fraction(Fraction(c)), m,
+                     s.powi(s.sin(u), k), s.powi(s.cos(u), l))
+
+    sums = []
+    for _ in range(count):
+        u, m, k, l = rng.choice(args), rng.choice(monos), rng.randint(0, 2), rng.randint(0, 2)
+        sign = rng.choice((1, -1))
+        pair = (term(sign * rng.choice(coeffs), m, u, k + 2, l),
+                term(sign * rng.choice(coeffs), m, u, k, l + 2))
+        paired = {s._split_term(t)[1] for t in pair}
+        extra = []
+        for _ in range(rng.randint(0, 4)):
+            t = term(rng.choice((1, -1)) * rng.choice(coeffs), rng.choice(monos),
+                     rng.choice(args), rng.randint(0, 4), rng.randint(0, 4))
+            if s._split_term(t)[1] not in paired:  # keep the pair's coefficients
+                extra.append(t)
+        sums.append(s.add(*pair, *extra))
+    return sums
+
+
+def torus_riemann():
+    """The 16 components of the torus program's R~i_j_k_l."""
+    interp = Interpreter()
+    interp.run_source(cli.TORUS_PROGRAM.read_text(encoding="utf-8"))
+    return interp.eval_source("R~i_j_k_l").components
 
 
 class TestEvalNumeric:
