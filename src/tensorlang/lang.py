@@ -467,17 +467,25 @@ class Evaluator:
             return fv.impl(self, args)
         if not fv.name:  # a closure can make fresh names: run it at every position
             return tensor.scalar_apply(lambda xs: fv.impl(self, xs), kinds, args)
-        # A builtin is a function of its arguments and equal components are
-        # one interned object, so it runs once per distinct tuple (args keeps
-        # every keyed id alive).
-        memo = {}
-        def once(xs):
-            key = tuple(map(id, xs))
-            r = memo.get(key, _MISSING)
-            if r is _MISSING:
-                r = memo[key] = fv.impl(self, xs)
-            return r
-        return tensor.scalar_apply(once, kinds, args)
+        # A builtin is a function of its arguments, and every value hashes,
+        # so it runs once per distinct argument tuple.
+        return tensor.scalar_apply(_Results(self, fv.impl), kinds, args)
+
+
+class _Results(dict):
+    """A builtin's results in one broadcast, keyed by the argument tuple.
+    Calling it is `dict.__getitem__`, so a tuple seen before is a hash
+    lookup that enters no Python frame; `__missing__` runs the builtin."""
+
+    __slots__ = ("ev", "impl")
+    __call__ = dict.__getitem__
+
+    def __init__(self, ev, impl):
+        self.ev, self.impl = ev, impl
+
+    def __missing__(self, xs):
+        r = self[xs] = self.impl(self.ev, xs)
+        return r
 
 
 def _closure(params, body, env):

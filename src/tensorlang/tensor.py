@@ -317,22 +317,20 @@ def scalar_apply(call, kinds, args):
     """Componentwise mapping over the scalar-kind tensor arguments (the
     levels), then index reduction; `Evaluator.call` uses it only with a level.
 
-    Tensor-kind arguments and plain scalars pass through whole; an
-    inverted-scalar argument has its indices flipped first.  `call`
-    receives the unwrapped argument list at each position of the levels'
-    outer product, in row-major order.  Tensor-valued results must share
-    one shape and index list, and their axes form the innermost level.
-    The last level's axes reduce together with the results' axes, then
-    each earlier level's axes together with that reduced result.
+    Tensor-kind arguments and plain scalars pass through whole, each as a
+    level of one position; an inverted-scalar argument has its indices
+    flipped first.  `call` receives the argument tuple at each position of
+    the levels' outer product, in row-major order, through one `map` over
+    `itertools.product`.  Tensor-valued results must share one shape and
+    index list, and their axes form the innermost level.  The last level's
+    axes reduce together with the results' axes, then each earlier level's
+    axes together with that reduced result.
     """
     xs = [flip_indices(a) if kind == KIND_INVERTED else a for kind, a in zip(kinds, args)]
-    at = [i for i, a in enumerate(xs) if kinds[i] != KIND_TENSOR and isinstance(a, Tensor)]
-    levels = [xs[i] for i in at]
-    results = []
-    for comps in itertools.product(*[t.components for t in levels]):
-        for i, c in zip(at, comps):
-            xs[i] = c
-        results.append(call(list(xs)))
+    is_level = [kind != KIND_TENSOR and isinstance(a, Tensor) for kind, a in zip(kinds, xs)]
+    levels = [a for a, level in zip(xs, is_level) if level]
+    results = list(map(call, itertools.product(
+        *[a.components if level else (a,) for a, level in zip(xs, is_level)])))
     if not levels:
         return reduce_indices(results[0])
     inner = _layout(results[0])

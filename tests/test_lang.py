@@ -1,7 +1,9 @@
 import io
+import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +301,58 @@ class TestBroadcastOncePerTuple:
         assert str(info.value) == "division by zero"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("src, message", [
+        ("(+ [|1 2|]_i +)", "+ expects scalar arguments, got FunctionValue"),
+        ("(* [|1 2|]_i {1 2})", "* expects scalar arguments, got BraceValue"),
+        ("(+ [|1 2|]_i [|+ -|]_j)", "+ expects scalar arguments, got FunctionValue"),
+        ("(+ (generate-tensor 1#[|%1 %1|] {2})_i 1)", "+ expects scalar arguments, got Tensor"),
+    ])
+    def test_every_value_is_a_memo_key(self, src, message):
+        # the memo is keyed by the argument tuple, so a value that did not
+        # hash would fail there, before the builtin could reject it
+        with pytest.raises(EvalError) as info:
+            run(src)
+        assert type(info.value) is EvalError
+        assert str(info.value) == message
+
+    def test_equal_function_values_are_two_keys(self):
+        seen = []
+
+        def impl(ev, xs):
+            seen.append(xs)
+            return Integer(0)
+        f, g = (FunctionValue(None, (KIND_SCALAR,), impl) for _ in range(2))
+        fs = make_tensor((3,), [f, g, f], [Index(SUB, SymbolLabel("i"))])
+        Interpreter().evaluator.call(FunctionValue("first", (KIND_SCALAR,), impl), [fs])
+        assert seen == [(f,), (g,)]
+
+    def test_calls_follow_the_outer_product_in_row_major_order(self):
+        # A builtin sees the distinct tuples in order of first position, a
+        # closure every position's tuple: which failing tuple raises first
+        # rests on this.
+        rng = random.Random(1907)
+        evaluator = Interpreter().evaluator
+        pool = [Integer(0), Integer(1), Symbol("x")]
+        repeated = 0
+        for _ in range(60):
+            kinds = tuple(rng.choice((KIND_SCALAR, KIND_INVERTED)) for _ in range(rng.randint(1, 3)))
+            args = [self.random_arg(rng, {"i": 2, "j": 3}, pool) for _ in kinds]
+            if not any(isinstance(a, Tensor) for a in args):
+                continue
+            positions = list(itertools.product(
+                *[a.components if isinstance(a, Tensor) else (a,) for a in args]))
+            distinct = list(dict.fromkeys(positions))
+            repeated += len(distinct) < len(positions)
+            for name, want in (("rec", distinct), (None, positions)):
+                seen = []
+
+                def impl(ev, xs):
+                    seen.append(xs)
+                    return Integer(0)
+                evaluator.call(FunctionValue(name, kinds, impl), list(args))
+                assert seen == want, (name, args)
+        assert repeated > 10
+
     def test_equals_the_nested_reference_on_the_raw_builtin(self):
         # Each label has one dimension throughout: the reference reduces
         # between levels, so a dimension mismatch could meet it before a
@@ -343,6 +397,39 @@ class TestBroadcastOncePerTuple:
         except LangError as e:
             return type(e), str(e)
         return type(r), r
+
+
+class TestBroadcastFrames:
+    """A deterministic guard on the cost of broadcasting: it counts the
+    Python frames a call enters, not its time."""
+
+    @staticmethod
+    def frames(function, n):
+        interp = Interpreter()
+        interp.eval_source(f"(define $Z [|{' '.join('0' * n)}|])")
+        fv = interp.eval_source(function)
+        args = [interp.eval_source("Z_i"), interp.eval_source("Z_j")]
+        interp.evaluator.call(fv, args)  # the first call interns the results
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            interp.evaluator.call(fv, args)
+        finally:
+            sys.setprofile(previous)
+        return count
+
+    def test_a_repeated_tuple_enters_no_python_frame(self):
+        # (+ Z_i Z_j) over a zero vector has one distinct tuple at any size
+        assert len({self.frames("+", n) for n in (4, 8, 16)}) == 1
+
+    def test_a_closure_enters_python_at_every_position(self):
+        small, middle, large = (self.frames("(lambda [$x $y] (+ x y))", n) for n in (4, 8, 16))
+        assert small < middle < large
 
 
 class TestParameterRule:
