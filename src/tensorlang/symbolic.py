@@ -29,6 +29,7 @@ same float operations per binding as `eval_numeric`.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from operator import attrgetter, is_
@@ -531,13 +532,21 @@ def _partner(m, s):
 # --- printing ---------------------------------------------------------------
 
 
+def _digits(n):
+    """The exact decimal digits of int `n`, also past `str`'s digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
 _FORMAT = {
-    Integer: lambda e, kids: str(e.value),
-    Rational: lambda e, kids: f"(/ {e.numerator} {e.denominator})",
+    Integer: lambda e, kids: _digits(e.value),
+    Rational: lambda e, kids: f"(/ {_digits(e.numerator)} {_digits(e.denominator)})",
     Symbol: lambda e, kids: e.name,
     Sum: lambda e, kids: "(+ " + " ".join(kids) + ")",
     Product: lambda e, kids: "(* " + " ".join(kids) + ")",
-    Power: lambda e, kids: f"(^ {kids[0]} {e.exponent})",
+    Power: lambda e, kids: f"(^ {kids[0]} {_digits(e.exponent)})",
     Apply: lambda e, kids: f"({e.fn} {kids[0]})",
 }
 
@@ -545,7 +554,7 @@ _FORMAT = {
 def format_scalar(e):
     """Prefix S-expression form, e.g. (* -1 r (sin θ))."""
     if type(e) is Integer:
-        return str(e.value)
+        return _digits(e.value)
     return _fold([e], lambda x, kids: _FORMAT[type(x)](x, kids))[0]
 
 

@@ -71,20 +71,13 @@ def _strides(shape):
     return out
 
 
-def _offset(strides, multi):
-    off = 0
-    for s, i in zip(strides, multi):
-        off += s * (i - 1)
-    return off
-
-
 def positions(shape):
     """All 1-based multi-indices of `shape` in row-major order."""
     return itertools.product(*[range(1, d + 1) for d in shape])
 
 
 def component_at(t, multi):
-    return t.components[_offset(_strides(t.shape), multi)]
+    return t.components[sum(s * (i - 1) for s, i in zip(_strides(t.shape), multi))]
 
 
 def make_tensor(shape, components, indices=None):
@@ -130,23 +123,23 @@ def tensor_from_nested(elements):
     return make_tensor((len(elements),), elements)
 
 
-def _gather(t, shape, axis_of, base=0):
-    """Row-major components of a tensor of `shape` read out of `t`.
+def _gather(comps, from_shape, shape, axis_of, base=0):
+    """Row-major components of a tensor of `shape`, read out of `comps`,
+    the row-major components of a tensor of `from_shape`.
 
     Input axis a follows output axis axis_of[a], or stays fixed when that
     entry is None, its offset already counted in `base`.  Several input
     axes following one output axis read its diagonal.
     """
     if base == 0 and axis_of == list(range(len(shape))):
-        return t.components  # the identity plan reads every component in order
+        return comps  # the identity plan reads every component in order
     steps = [0] * len(shape)
-    for stride, out in zip(_strides(t.shape), axis_of):
+    for stride, out in zip(_strides(from_shape), axis_of):
         if out is not None:
             steps[out] += stride
     offsets = [base]
     for d, step in zip(shape, steps):
         offsets = [off + step * i for off in offsets for i in range(d)]
-    comps = t.components
     return [comps[off] for off in offsets]
 
 
@@ -168,23 +161,23 @@ def diag(k, j, t):
     axis_of = [a if a < j - 1 else a - 1 for a in range(t.rank)]
     axis_of[j - 1] = k - 1
     shape = t.shape[:j - 1] + t.shape[j:]
-    return make_tensor(shape, _gather(t, shape, axis_of), t.indices[:j - 1] + t.indices[j:])
+    return make_tensor(shape, _gather(t.components, t.shape, shape, axis_of),
+                       t.indices[:j - 1] + t.indices[j:])
 
 
-def reduce_indices(t):
-    """Merge same-label index positions into diagonals.
+def _reduction(shape, indices):
+    """Plan the index reduction of a layout, reading no component: the
+    reduced shape and indices, and per input axis its output axis.
 
     Each label keeps the slot of its first occurrence; slots without an
     index never merge.  The kept slot becomes a supersubscript when its
     group holds both a superscript and a subscript, and is otherwise
     unchanged.
     """
-    if not isinstance(t, Tensor):
-        return t
     out_of = {}  # label -> output axis
     members = []  # per output axis, the input axes it keeps the diagonal of
     axis_of = []
-    for a, ix in enumerate(t.indices):
+    for a, ix in enumerate(indices):
         if ix is not None and isinstance(ix.label, NumberLabel):
             raise EvalError("numeric indices must be selected before reduction")
         out = out_of.get(ix.label) if ix is not None else None
@@ -195,34 +188,39 @@ def reduce_indices(t):
                 out_of[ix.label] = out
         members[out].append(a)
         axis_of.append(out)
-    if len(members) == t.rank:
-        return t
     # A mismatch names its axes as merging one pair at a time, leftmost
     # label first, would number them.
     merged = []
     for first, *rest in members:
         for a in rest:
-            if t.shape[a] != t.shape[first]:
+            if shape[a] != shape[first]:
                 k, j = (x + 1 - sum(m < x for m in merged) for x in (first, a))
-                raise _mismatch(k, j, t.shape[first], t.shape[a])
+                raise _mismatch(k, j, shape[first], shape[a])
             merged.append(a)
-    indices = []
-    for first, *rest in members:
-        ix = t.indices[first]
-        if rest and {t.indices[a].variance for a in (first, *rest)} >= {SUP, SUB}:
-            ix = Index(SUPSUB, ix.label)
-        indices.append(ix)
-    shape = tuple(t.shape[first] for first, *_ in members)
-    return make_tensor(shape, _gather(t, shape, axis_of), indices)
+    reduced = tuple(
+        Index(SUPSUB, indices[first].label)
+        if rest and {indices[a].variance for a in (first, *rest)} >= {SUP, SUB}
+        else indices[first] for first, *rest in members)
+    return tuple(shape[first] for first, *_ in members), reduced, axis_of
+
+
+def reduce_indices(t):
+    """Merge same-label index positions into diagonals, as `_reduction` plans."""
+    if not isinstance(t, Tensor):
+        return t
+    shape, indices, axis_of = _reduction(t.shape, t.indices)
+    if len(shape) == t.rank:
+        return t  # nothing merges: already reduced
+    return make_tensor(shape, _gather(t.components, t.shape, shape, axis_of), indices)
 
 
 def append_indices(value, indices):
     """Attach evaluated indices to a tensor.
 
     Slots are overwritten from the left (a stored tensor referenced with
-    fresh indices takes the new ones); numeric labels select components
-    immediately; the result is index-reduced.  A scalar comes back when
-    every axis has been selected away.
+    fresh indices takes the new ones); numeric labels select components,
+    and the rest index-reduce, in one read of the components.  A scalar
+    comes back when every axis has been selected away.
     """
     if not isinstance(value, Tensor):
         if indices:
@@ -246,11 +244,12 @@ def append_indices(value, indices):
         else:
             axis_of.append(len(keep))
             keep.append(a)
-    shape = tuple(value.shape[a] for a in keep)
-    comps = _gather(value, shape, axis_of, base)
+    shape, reduced, plan = _reduction([value.shape[a] for a in keep], [slots[a] for a in keep])
+    axis_of = [None if k is None else plan[k] for k in axis_of]
+    comps = _gather(value.components, value.shape, shape, axis_of, base)
     if not keep:
         return comps[0]
-    return reduce_indices(make_tensor(shape, comps, [slots[a] for a in keep]))
+    return make_tensor(shape, comps, reduced)
 
 
 # --- primitive operations ----------------------------------------------------
@@ -272,7 +271,8 @@ def contract(fold2, value):
         axis_of = [a if a < axis else a - 1 for a in range(t.rank)]
         axis_of[axis] = None
         stride = _strides(t.shape)[axis]
-        slices = [_gather(t, shape, axis_of, stride * i) for i in range(t.shape[axis])]
+        slices = [_gather(t.components, t.shape, shape, axis_of, stride * i)
+                  for i in range(t.shape[axis])]
         comps = [functools.reduce(fold2, column) for column in zip(*slices)]
         if not shape:
             return comps[0]
@@ -306,7 +306,8 @@ def transpose(order_labels, t):
         perm.append(a)
         axis_of[a] = pos
     shape = tuple(t.shape[a] for a in perm)
-    return make_tensor(shape, _gather(t, shape, axis_of), [t.indices[a] for a in perm])
+    return make_tensor(shape, _gather(t.components, t.shape, shape, axis_of),
+                       [t.indices[a] for a in perm])
 
 
 def _layout(value):
@@ -337,17 +338,16 @@ def scalar_apply(call, kinds, args):
     if (Tensor in map(type, results) if inner is None
             else any(_layout(r) != inner for r in results)):
         raise BroadcastError("componentwise results do not share one shape and index list")
-    # The reductions run on a plan whose components are offsets into the
-    # flat outer product; the kept offsets are read once at the end.
+    # Plan the levels' reductions on their index lists, innermost first:
+    # axis_of maps each axis of the flat outer product to its output axis.
     flat = results if inner is None else [c for r in results for c in r.components]
-    block = len(flat) // len(results)
-    shape, indices = inner or ((), ())
-    plan = Tensor(shape, tuple(range(block)), indices)
+    from_shape, indices = inner or ((), ())
+    shape, axis_of = from_shape, list(range(len(from_shape)))
     for t in reversed(levels):
-        comps = [c * block + off for c in range(len(t.components)) for off in plan.components]
-        plan = reduce_indices(make_tensor(t.shape + plan.shape, comps, t.indices + plan.indices))
-        block *= len(t.components)
-    return make_tensor(plan.shape, [flat[off] for off in plan.components], plan.indices)
+        shape, indices, plan = _reduction(t.shape + shape, t.indices + indices)
+        axis_of = plan[:t.rank] + [plan[t.rank + a] for a in axis_of]
+        from_shape = t.shape + from_shape
+    return make_tensor(shape, _gather(flat, from_shape, shape, axis_of), indices)
 
 
 def generate_tensor(call, dims):

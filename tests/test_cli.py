@@ -182,6 +182,31 @@ def test_run_reads_unicode_whitespace(tmp_path):
     assert (done.stdout, done.stderr, done.returncode) == ("3\n", "", 0)
 
 
+def _digits(n):
+    """The decimal digits of n >= 0, joined from chunks of 1,000 digits
+    so that each `format` stays within `str`'s 4,300-digit limit."""
+    chunks = []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def test_run_prints_numbers_past_the_str_digit_limit(tmp_path):
+    # 2^20000 has 6,021 digits and 3^10000 has 4,772
+    done = run_cli(tmp_path, "(^ 2 20000)\n(/ 1 (^ 3 10000))\n(^ x (^ 2 20000))\n")
+    assert (done.stderr, done.returncode) == ("", 0)
+    big = _digits(2 ** 20000)
+    assert done.stdout == f"{big}\n(/ 1 {_digits(3 ** 10000)})\n(^ x {big})\n"
+
+
+def test_comparison_error_prints_a_number_past_the_str_digit_limit(tmp_path):
+    done = run_cli(tmp_path, "(less-than? (^ 2 20000) x)\n")
+    assert done.returncode == 1
+    assert done.stderr == ("error: ComparisonError: cannot order symbolic values: "
+                           f"{_digits(2 ** 20000)} vs x\n")
+
+
 def test_run_output_does_not_depend_on_the_hash_seed(tmp_path):
     # the local symbols that escape a with-symbols scope are numbered in
     # declaration order, not in the order of a set of their names

@@ -88,6 +88,105 @@ class TestAppendIndices:
         assert r.indices[0].variance == SUPSUB
 
 
+def _select_then_reduce(shape, comps, labeled):
+    """Reference for `append_indices`: `labeled` gives each axis's
+    (label, variance) after the new indices are written over the old
+    ones, an int label being a numeric index.  Select by enumerating
+    every position, then reduce with `brute_reduce`."""
+    for (lab, _), d in zip(labeled, shape):
+        if isinstance(lab, int) and not 1 <= lab <= d:
+            raise BoundsError("out of bounds")
+    keep = [a for a, (lab, _) in enumerate(labeled) if not isinstance(lab, int)]
+    selected = tuple(c for multi, c in zip(T.positions(shape), comps)
+                     if all(m == lab for m, (lab, _) in zip(multi, labeled)
+                            if isinstance(lab, int)))
+    if not keep:
+        return selected[0]
+    try:
+        return brute_reduce(tuple(shape[a] for a in keep), selected,
+                            [labeled[a] for a in keep])
+    except ValueError:
+        raise DimensionMismatchError("mismatch") from None
+
+
+def _labeled(ix):
+    if ix is None:
+        return None, None
+    lab = ix.label
+    return lab.value if isinstance(lab, NumberLabel) else lab.name, ix.variance
+
+
+class TestAppendIndicesDifferential:
+    def test_matches_selection_then_brute_reduce(self):
+        rng = random.Random(4404)
+        outcomes = {}
+        for _ in range(600):
+            rank = rng.randint(1, 4)
+            shape = tuple(rng.randint(1, 3) for _ in range(rank))
+            comps = [Integer(k) for k in range(math.prod(shape))]
+            old = [rng.choice((None, sym("i", SUP), sym("k"))) for _ in range(rank)]
+            new = [num(rng.randint(1, 3)) if rng.random() < 0.4
+                   else sym(rng.choice("ij"), rng.choice((SUP, SUB, SUPSUB)))
+                   for _ in range(rng.randint(0, rank))]
+            t = T.make_tensor(shape, comps, old)
+            labeled = [_labeled(ix) for ix in new + old[len(new):]]
+            try:
+                want = _select_then_reduce(shape, comps, labeled)
+            except LangError as e:
+                want = type(e)
+            try:
+                got = T.append_indices(t, new)
+            except LangError as e:
+                got = type(e)
+            if isinstance(got, Tensor):
+                got = engine_summary(got)
+            assert got == want, (shape, old, new)
+            kind = want if isinstance(want, type) else type(want).__name__
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert min(outcomes[k] for k in (BoundsError, DimensionMismatchError,
+                                          "tuple", "Integer")) >= 20, outcomes
+
+    def test_mismatch_is_numbered_after_the_selection(self):
+        # A_i_2_i on 2x3x3: the numeric axis goes first, so the i axes are 1 and 2
+        a = T.make_tensor((2, 3, 3), [Integer(k) for k in range(18)])
+        with pytest.raises(DimensionMismatchError) as err:
+            T.append_indices(a, [sym("i"), num(2), sym("i")])
+        assert str(err.value) == "axes 1 and 2 have different dimensions (2 vs 3)"
+
+
+class TestOneReadPerCall:
+    """Selection and every level's reduction are planned on the index
+    lists, so a call reads the components once and makes one tensor."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Run fn(*args) and count the calls it makes to three tensor functions."""
+        def run(fn, *args):
+            counts = dict.fromkeys(("make_tensor", "_gather", "reduce_indices"), 0)
+            with monkeypatch.context() as m:
+                for name in counts:
+                    def count(*a, _name=name, _real=getattr(T, name)):
+                        counts[_name] += 1
+                        return _real(*a)
+                    m.setattr(T, name, count)
+                return fn(*args), counts
+        return run
+
+    def test_scalar_apply_with_levels(self, counted):
+        a = T.make_tensor((2, 3), [Integer(k) for k in range(6)], (sym("i"), sym("j")))
+        b = T.make_tensor((3, 2), [Integer(k) for k in range(6)], (sym("j", SUP), sym("k")))
+        inner = T.make_tensor((2,), [Integer(1), Integer(2)], (sym("k"),))
+        for call in (lambda xs: mul(*xs), lambda xs: inner):
+            r, counts = counted(T.scalar_apply, call, (T.KIND_SCALAR,) * 2, [a, b])
+            assert r.shape == (2, 3, 2)
+            assert counts == {"make_tensor": 1, "_gather": 1, "reduce_indices": 0}
+
+    def test_append_indices_with_a_selection_and_a_merge(self, counted):
+        r, counts = counted(T.append_indices, cube(), [sym("i"), num(2), sym("i")])
+        assert ints(r) == [3, 8]
+        assert counts == {"make_tensor": 1, "_gather": 1, "reduce_indices": 0}
+
+
 class TestReduce:
     def test_double_subscript(self):
         r = T.append_indices(mat(M3), [sym("i"), sym("i")])
