@@ -4,6 +4,7 @@ lambda parameter kinds, with-symbols scoping, and indexed definitions."""
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -221,7 +222,11 @@ class Parser:
             nxt = self.peek()
             if nxt is None or not nxt.glued:
                 raise ParseError("shorthand lambda needs an attached body", *pos)
-            outer, self.shorthand = self.shorthand, [int(tok.text[:-1]), None]
+            try:
+                arity = int(tok.text[:-1])
+            except ValueError:  # past str's digit limit: no such arity can be allocated
+                raise ParseError("shorthand arity has too many digits", *pos) from None
+            outer, self.shorthand = self.shorthand, [arity, None]
             body = self.parse_expr()  # a nested shorthand answers to its own arity
             (arity, excess), self.shorthand = self.shorthand, outer
             return ShorthandLambda(arity, body, pos, excess)
@@ -234,7 +239,7 @@ class Parser:
         if text[0] in "~_":
             raise ParseError(f"index suffix {text!r} has no target expression", *pos)
         if _INT_RE.match(text):
-            return NumberLit(int(text), pos)
+            return NumberLit(symbolic.from_digits(text), pos)
         self._placeholder(text)
         return Var(text, pos)
 
@@ -243,7 +248,7 @@ class Parser:
         first `%k` read in the body with k above the arity."""
         frame = self.shorthand
         m = frame and frame[1] is None and _PLACEHOLDER_RE.match(text)
-        if m and int(m.group(1)) > frame[0]:
+        if m and symbolic.from_digits(m.group(1)) > frame[0]:
             frame[1] = text
 
     def _check_special(self, node):
@@ -357,7 +362,7 @@ class Evaluator:
             raise EvalError(
                 f"index without a label at line {spec.pos[0]}, col {spec.pos[1]}")
         if spec.kind == "num":
-            return tensor.Index(spec.variance, NumberLabel(int(spec.text)))
+            return tensor.Index(spec.variance, NumberLabel(symbolic.from_digits(spec.text)))
         if spec.kind == "dummy":
             return tensor.fresh_dummy(spec.variance)
         val = env.lookup(spec.text)
@@ -465,27 +470,11 @@ class Evaluator:
         # call needs no reduce_indices.
         if not any(k != KIND_TENSOR and isinstance(a, Tensor) for k, a in zip(kinds, args)):
             return fv.impl(self, args)
-        if not fv.name:  # a closure can make fresh names: run it at every position
-            return tensor.scalar_apply(lambda xs: fv.impl(self, xs), kinds, args)
-        # A builtin is a function of its arguments, and every value hashes,
-        # so it runs once per distinct argument tuple.
-        return tensor.scalar_apply(_Results(self, fv.impl), kinds, args)
-
-
-class _Results(dict):
-    """A builtin's results in one broadcast, keyed by the argument tuple.
-    Calling it is `dict.__getitem__`, so a tuple seen before is a hash
-    lookup that enters no Python frame; `__missing__` runs the builtin."""
-
-    __slots__ = ("ev", "impl")
-    __call__ = dict.__getitem__
-
-    def __init__(self, ev, impl):
-        self.ev, self.impl = ev, impl
-
-    def __missing__(self, xs):
-        r = self[xs] = self.impl(self.ev, xs)
-        return r
+        # A closure can make fresh names, so it runs at every position.  A
+        # builtin is a function of its arguments, and every value hashes, so
+        # it runs once per distinct argument tuple.
+        impl = functools.partial(fv.impl, self)
+        return tensor.scalar_apply(functools.cache(impl) if fv.name else impl, kinds, args)
 
 
 def _closure(params, body, env):

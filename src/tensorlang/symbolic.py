@@ -190,8 +190,6 @@ def _fold(roots, visit, memo=None):
     so later folds skip the nodes it holds."""
     own = memo is None
     if own:
-        if len(roots) == 1 and type(roots[0]) in (Integer, Rational, Symbol):
-            return [visit(roots[0], [])]  # a lone leaf needs no memo
         memo = {}
     def go(x):
         if x not in memo:  # nodes hash by identity, and a key keeps its node alive
@@ -532,7 +530,7 @@ def _partner(m, s):
 # --- printing ---------------------------------------------------------------
 
 
-def _digits(n):
+def digits(n):
     """The exact decimal digits of int `n`, also past `str`'s digit limit."""
     try:
         return str(n)
@@ -540,13 +538,21 @@ def _digits(n):
         return str(decimal.Decimal(n))
 
 
+def from_digits(text):
+    """The int that the decimal digits `text` spell, also past `str`'s limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return int(decimal.Decimal(text))
+
+
 _FORMAT = {
-    Integer: lambda e, kids: _digits(e.value),
-    Rational: lambda e, kids: f"(/ {_digits(e.numerator)} {_digits(e.denominator)})",
+    Integer: lambda e, kids: digits(e.value),
+    Rational: lambda e, kids: f"(/ {digits(e.numerator)} {digits(e.denominator)})",
     Symbol: lambda e, kids: e.name,
     Sum: lambda e, kids: "(+ " + " ".join(kids) + ")",
     Product: lambda e, kids: "(* " + " ".join(kids) + ")",
-    Power: lambda e, kids: f"(^ {kids[0]} {_digits(e.exponent)})",
+    Power: lambda e, kids: f"(^ {kids[0]} {digits(e.exponent)})",
     Apply: lambda e, kids: f"({e.fn} {kids[0]})",
 }
 
@@ -554,7 +560,7 @@ _FORMAT = {
 def format_scalar(e):
     """Prefix S-expression form, e.g. (* -1 r (sin θ))."""
     if type(e) is Integer:
-        return _digits(e.value)
+        return digits(e.value)
     return _fold([e], lambda x, kids: _FORMAT[type(x)](x, kids))[0]
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (BoundsError, BroadcastError, DimensionMismatchError,
                      EvalError, RankError, ShapeError)
+from .symbolic import digits
 
 SUP, SUB, SUPSUB = 1, -1, 0
 VARIANCE_MARK = {SUP: "~", SUB: "_", SUPSUB: "~_"}  # as written in source
@@ -238,7 +239,7 @@ def append_indices(value, indices):
         if ix is not None and isinstance(ix.label, NumberLabel):
             v = ix.label.value
             if not (1 <= v <= d):
-                raise BoundsError(f"index {v} out of bounds for axis of dimension {d}")
+                raise BoundsError(f"index {digits(v)} out of bounds for axis of dimension {d}")
             base += stride * (v - 1)
             axis_of.append(None)
         else:
@@ -316,7 +317,11 @@ def _layout(value):
 
 def scalar_apply(call, kinds, args):
     """Componentwise mapping over the scalar-kind tensor arguments (the
-    levels), then index reduction; `Evaluator.call` uses it only with a level.
+    levels), then index reduction.  It needs at least one level: with none,
+    `Evaluator.call` calls the function directly.  For a builtin,
+    `Evaluator.call` passes a `functools.cache` of
+    `functools.partial(impl, evaluator)` made for that one call, so a
+    repeated argument tuple is answered without running `impl` again.
 
     Tensor-kind arguments and plain scalars pass through whole, each as a
     level of one position; an inverted-scalar argument has its indices
@@ -332,8 +337,6 @@ def scalar_apply(call, kinds, args):
     levels = [a for a, level in zip(xs, is_level) if level]
     results = list(map(call, itertools.product(
         *[a.components if level else (a,) for a, level in zip(xs, is_level)])))
-    if not levels:
-        return reduce_indices(results[0])
     inner = _layout(results[0])
     if (Tensor in map(type, results) if inner is None
             else any(_layout(r) != inner for r in results)):

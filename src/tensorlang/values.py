@@ -19,14 +19,15 @@ class FunctionValue:
     count of at least one argument when `variadic` is set) and `impl`,
     called as `impl(evaluator, args)`.  A tensor passed for a scalar-kind
     or inverted-scalar parameter is a level: `impl` then sees a tuple of
-    its components, one position of the levels' outer product at a time;
-    otherwise it sees the arguments as passed.  Builtins have a name;
-    closures made by `lambda` or `N#...` have none.  A builtin with a
-    scalar-kind parameter is a function of its arguments: equal argument
-    tuples give the same result, or the same error, so broadcasting calls
-    it once per distinct tuple, remembered in a dict keyed by the tuple.
-    A function value is equal only to itself, and hashes by identity, so
-    it can be such a key."""
+    its components, one position of the levels' outer product at a time,
+    through `tensor.scalar_apply`, which needs a level; otherwise it sees
+    the arguments as passed.  Builtins have a name; closures made by
+    `lambda` or `N#...` have none.  A builtin with a scalar-kind parameter
+    is a function of its arguments: equal argument tuples give the same
+    result, or the same error, so broadcasting calls it once per distinct
+    tuple, through a `functools.cache` of `functools.partial(impl,
+    evaluator)` made for that one call.  A function value is equal only
+    to itself, and hashes by identity, so it can be in the cache's key."""
     name: Optional[str]
     kinds: tuple
     impl: Callable

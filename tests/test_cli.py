@@ -207,6 +207,30 @@ def test_comparison_error_prints_a_number_past_the_str_digit_limit(tmp_path):
                            f"{_digits(2 ** 20000)} vs x\n")
 
 
+BIG = "1" + "0" * 4999  # 10^4999, 5,000 digits
+
+
+@pytest.mark.parametrize("program, stdout, stderr", [
+    # a literal
+    (f"(+ {BIG} 1)\n", f"1{'0' * 4998}1\n", ""),
+    # a numeric index label
+    (f"[|1 2|]_{BIG}\n", "",
+     f"error: BoundsError: index {BIG} out of bounds for axis of dimension 2\n"),
+    # a label bound to a computed number: no long literal
+    ("(define $k (^ 10 5000))\n[|1 2|]_k\n", "",
+     f"error: BoundsError: index 1{'0' * 5000} out of bounds for axis of dimension 2\n"),
+    # a placeholder
+    (f"(1#(+ %1 %{BIG}) 5)\n", "",
+     f"error: EvalError: placeholder %{BIG} exceeds shorthand arity 1\n"),
+    # a shorthand head
+    (f"(+ 1\n  ({BIG}#%1 5))\n", "",
+     "error: ParseError: line 2, col 4: shorthand arity has too many digits\n"),
+], ids=["literal", "index-label", "computed-label", "placeholder", "shorthand-head"])
+def test_run_reads_numbers_past_the_str_digit_limit(tmp_path, program, stdout, stderr):
+    done = run_cli(tmp_path, program)
+    assert (done.stdout, done.stderr, done.returncode) == (stdout, stderr, 1 if stderr else 0)
+
+
 def test_run_output_does_not_depend_on_the_hash_seed(tmp_path):
     # the local symbols that escape a with-symbols scope are numbered in
     # declaration order, not in the order of a set of their names

@@ -403,13 +403,20 @@ class TestBroadcastFrames:
     """A deterministic guard on the cost of broadcasting: it counts the
     Python frames a call enters, not its time."""
 
-    @staticmethod
-    def frames(function, n):
+    @classmethod
+    def frames(cls, function, n, distinct=False):
+        """Frames entered by calling `function` (source, or a function
+        value) on Z_i and Z_j, Z a vector of n zeros or of 0 to n - 1."""
         interp = Interpreter()
-        interp.eval_source(f"(define $Z [|{' '.join('0' * n)}|])")
-        fv = interp.eval_source(function)
+        zs = range(n) if distinct else [0] * n
+        interp.eval_source(f"(define $Z [|{' '.join(map(str, zs))}|])")
+        fv = interp.eval_source(function) if isinstance(function, str) else function
         args = [interp.eval_source("Z_i"), interp.eval_source("Z_j")]
         interp.evaluator.call(fv, args)  # the first call interns the results
+        return cls.entered(interp.evaluator.call, fv, args)
+
+    @staticmethod
+    def entered(fn, *args):
         count = 0
 
         def profile(frame, event, arg):
@@ -418,7 +425,7 @@ class TestBroadcastFrames:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            interp.evaluator.call(fv, args)
+            fn(*args)
         finally:
             sys.setprofile(previous)
         return count
@@ -430,6 +437,16 @@ class TestBroadcastFrames:
     def test_a_closure_enters_python_at_every_position(self):
         small, middle, large = (self.frames("(lambda [$x $y] (+ x y))", n) for n in (4, 8, 16))
         assert small < middle < large
+
+    def test_a_distinct_tuple_enters_only_the_builtins_own_frames(self):
+        # n x n distinct tuples: each enters the frames of one direct impl
+        # call, and the builtin's memo adds none
+        def impl(ev, xs):
+            return xs[0]
+        first = FunctionValue("first", (KIND_SCALAR, KIND_SCALAR), impl)
+        small, large = (self.frames(first, n, distinct=True) for n in (4, 8))
+        per_call = self.entered(impl, None, (Integer(0), Integer(1)))
+        assert large - small == (8 * 8 - 4 * 4) * per_call
 
 
 class TestParameterRule:

@@ -438,24 +438,27 @@ def _random_broadcast(rng):
     one fixed layout built from that scalar.  In the inconsistent mode one
     call in the first row (the first pass over the last level) returns
     something else, so the nested reference meets it before any of its
-    reductions.  Every level has at least two components.
+    reductions.  There is at least one level, as `scalar_apply` needs,
+    and every level has at least two components.
     """
     dim_of = {SymbolLabel("i"): 2, SymbolLabel("j"): rng.choice((2, 3))}
     kinds = [T.KIND_SCALAR] * rng.randint(1, 3)
     extra = rng.choice((None, T.KIND_TENSOR, T.KIND_INVERTED))
     if extra:
         kinds.insert(rng.randint(0, len(kinds)), extra)
-    args = [Integer(rng.randint(-9, 9)) if rng.random() < 0.15 else _tensor_of(
+    # the scalar-kind argument that is always a tensor, so always a level
+    anchor = rng.choice([a for a, kind in enumerate(kinds) if kind == T.KIND_SCALAR])
+    args = [Integer(rng.randint(-9, 9)) if a != anchor and rng.random() < 0.15 else _tensor_of(
                 lambda n: [rng.randint(-9, 9) for _ in range(n)],
                 _random_axes(rng, dim_of, rng.randint(1, 2), (*dim_of, None)))
-            for _ in kinds]
+            for a in range(len(kinds))]
     dim_of[fresh_dummy().label] = 2
     layouts = [_random_axes(rng, dim_of, rng.randint(1, 2), (*dim_of, None))
                for _ in range(2)]
     mode = rng.choice(("scalar", "tensor", "inconsistent"))
     odd = rng.choice(("scalar", "tensor"))
     levels = [a for k, a in zip(kinds, args) if k != T.KIND_TENSOR and isinstance(a, Tensor)]
-    odd_call = rng.randrange(len(levels[-1].components) if levels else 1)
+    odd_call = rng.randrange(len(levels[-1].components))
 
     def make_call():
         calls = itertools.count()
