@@ -7,8 +7,8 @@ contraction is carried by index notation.
 
 At the end, each component is evaluated at random parameter values and
 checked against an independent numpy oracle that knows nothing about the
-symbolic engine: it differentiates the closed-form metric by central
-finite differences.
+symbolic engine: it differentiates the closed-form metric with
+second-order jets, which carry a value, a gradient and a Hessian.
 
 Run with:  python3 demos/04_torus_curvature.py
 """
@@ -51,7 +51,7 @@ phi = rng.uniform(0, 2 * math.pi)
 env = {"a": a, "b": b, "θ": theta, "φ": phi}
 print(f"Numeric check at a={a:.4f}, b={b:.4f}, θ={theta:.4f}, φ={phi:.4f}:")
 orr = oracle.riemann(a, b, theta, phi)
-print(f"  {'component':<12}{'symbolic':>16}{'fd oracle':>16}")
+print(f"  {'component':<12}{'symbolic':>16}{'jet oracle':>16}")
 for i in (1, 2):
     for j in (1, 2):
         for k in (1, 2):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (BoundsError, BroadcastError, DimensionMismatchError,
@@ -317,10 +319,10 @@ def _layout(value):
 
 def scalar_apply(call, kinds, args):
     """Componentwise mapping over the scalar-kind tensor arguments (the
-    levels), then index reduction.  It needs at least one level: with none,
-    `Evaluator.call` calls the function directly.  For a builtin,
-    `Evaluator.call` passes a `functools.cache` of
-    `functools.partial(impl, evaluator)` made for that one call, so a
+    levels), then index reduction.  It needs at least one level and raises
+    EvalError without one: with none, `Evaluator.call` calls the function
+    directly.  For a builtin, `Evaluator.call` passes a `functools.cache`
+    of `functools.partial(impl, evaluator)` made for that one call, so a
     repeated argument tuple is answered without running `impl` again.
 
     Tensor-kind arguments and plain scalars pass through whole, each as a
@@ -335,6 +337,8 @@ def scalar_apply(call, kinds, args):
     xs = [flip_indices(a) if kind == KIND_INVERTED else a for kind, a in zip(kinds, args)]
     is_level = [kind != KIND_TENSOR and isinstance(a, Tensor) for kind, a in zip(kinds, xs)]
     levels = [a for a, level in zip(xs, is_level) if level]
+    if not levels:
+        raise EvalError("scalar_apply needs a scalar-kind tensor argument to map over")
     results = list(map(call, itertools.product(
         *[a.components if level else (a,) for a, level in zip(xs, is_level)])))
     inner = _layout(results[0])
@@ -357,5 +361,8 @@ def generate_tensor(call, dims):
     """Build a tensor of the given dimensions; the component at each 1-based
     position is `call(position)`."""
     dims = tuple(dims)
+    if math.prod(dims) > sys.maxsize:  # more than a sequence can index
+        raise ShapeError(f"shape ({', '.join(map(digits, dims))}) has more components "
+                         "than a tensor can hold")
     comps = [call(multi) for multi in positions(dims)]
     return make_tensor(dims, comps)

@@ -83,56 +83,57 @@ def test_demo_rejects_fewer_than_one_sample(samples, capsys):
 
 BUMPED_DEMO = """\
 torus demo: 12 random bindings (seed 1234)
-  worst relative gap vs oracle: 1.000e+00 (tolerance 1e-4)
+  worst relative gap vs oracle: 1.000e+00 (tolerance 1e-9)
   k=l curvature components bounded by 0.000e+00 (tolerance 1e-6)
   four structurally nonzero components present: yes
-  MISMATCH trial 0: R_1212 symbolic=2.937679995223047 oracle=np.float64(3.937686550010697)
-  MISMATCH trial 0: R_2121 symbolic=0.33965102557747756 oracle=np.float64(1.3396517834458825)
-  MISMATCH trial 1: R_1212 symbolic=-0.7964236750056923 oracle=np.float64(0.2035782229506844)
-  MISMATCH trial 1: R_2121 symbolic=-0.2810620452664051 oracle=np.float64(0.7189386244991887)
-  MISMATCH trial 2: R_1212 symbolic=2.6986933871348264 oracle=np.float64(3.6986972097439543)
-  MISMATCH trial 2: R_2121 symbolic=0.356832358192877 oracle=np.float64(1.3568328636456857)
-  MISMATCH trial 3: R_1212 symbolic=-1.730554287209035 oracle=np.float64(-0.7305544884989676)
-  MISMATCH trial 3: R_2121 symbolic=-0.3221965746827476 oracle=np.float64(0.6778033878332872)
-  MISMATCH trial 4: R_1212 symbolic=3.0498270977106703 oracle=np.float64(4.049824296844577)
-  MISMATCH trial 4: R_2121 symbolic=0.3251288632292818 oracle=np.float64(1.3251285646514108)
+  MISMATCH trial 0: R_1212 symbolic=2.937679995223047 oracle=np.float64(3.9376799952230463)
+  MISMATCH trial 0: R_2121 symbolic=0.33965102557747756 oracle=np.float64(1.3396510255774774)
+  MISMATCH trial 1: R_1212 symbolic=-0.7964236750056923 oracle=np.float64(0.2035763249943079)
+  MISMATCH trial 1: R_2121 symbolic=-0.2810620452664051 oracle=np.float64(0.718937954733595)
+  MISMATCH trial 2: R_1212 symbolic=2.6986933871348264 oracle=np.float64(3.6986933871348273)
+  MISMATCH trial 2: R_2121 symbolic=0.356832358192877 oracle=np.float64(1.356832358192877)
+  MISMATCH trial 3: R_1212 symbolic=-1.730554287209035 oracle=np.float64(-0.7305542872090345)
+  MISMATCH trial 3: R_2121 symbolic=-0.3221965746827476 oracle=np.float64(0.6778034253172525)
+  MISMATCH trial 4: R_1212 symbolic=3.0498270977106703 oracle=np.float64(4.04982709771067)
+  MISMATCH trial 4: R_2121 symbolic=0.3251288632292818 oracle=np.float64(1.325128863229282)
 demo FAILED
 """
 
 
 def test_demo_reports_oracle_disagreement(monkeypatch):
-    # Nothing inside the oracle calls riemann, so only R moves: by 1 at R~1_2_1_2
-    # and R~2_1_2_1 in every trial.  The first ten of 24 mismatches are printed,
-    # trial by trial, then tensor by tensor and position by position.
-    real = oracle.riemann
+    # The demo reads all four oracle arrays from one torus_curvature call; only
+    # R moves: by 1 at R~1_2_1_2 and R~2_1_2_1 in every trial.  The first ten of
+    # 24 mismatches are printed, trial by trial, then tensor by tensor and
+    # position by position.
+    real = oracle.torus_curvature
 
     def bumped(*args, **kw):
-        r = real(*args, **kw)
+        *rest, r = real(*args, **kw)
         r[..., 0, 1, 0, 1] += 1
         r[..., 1, 0, 1, 0] += 1
-        return r
+        return (*rest, r)
 
-    monkeypatch.setattr(oracle, "riemann", bumped)
+    monkeypatch.setattr(oracle, "torus_curvature", bumped)
     out = io.StringIO()
     assert cli.demo_torus(samples=12, out=out) == 1
     assert out.getvalue() == BUMPED_DEMO
 
 
 def test_demo_counts_a_nan_as_a_mismatch(monkeypatch):
-    real = oracle.riemann
+    real = oracle.torus_curvature
 
     def nan_at_r1111(*args, **kw):
-        r = real(*args, **kw)
+        *rest, r = real(*args, **kw)
         r[..., 0, 0, 0, 0] = float("nan")
-        return r
+        return (*rest, r)
 
-    monkeypatch.setattr(oracle, "riemann", nan_at_r1111)
+    monkeypatch.setattr(oracle, "torus_curvature", nan_at_r1111)
     out = io.StringIO()
     assert cli.demo_torus(samples=3, out=out) == 1
     lines = out.getvalue().splitlines()
     assert [line for line in lines if "MISMATCH" in line] == [
         f"  MISMATCH trial {n}: R_1111 symbolic=0.0 oracle=np.float64(nan)" for n in range(3)]
-    assert lines[1] == "  worst relative gap vs oracle: 2.231e-06 (tolerance 1e-4)"
+    assert lines[1] == "  worst relative gap vs oracle: 3.291e-16 (tolerance 1e-9)"
 
 
 def test_repl_session():
@@ -229,6 +230,14 @@ BIG = "1" + "0" * 4999  # 10^4999, 5,000 digits
 def test_run_reads_numbers_past_the_str_digit_limit(tmp_path, program, stdout, stderr):
     done = run_cli(tmp_path, program)
     assert (done.stdout, done.stderr, done.returncode) == (stdout, stderr, 1 if stderr else 0)
+
+
+def test_run_reports_a_tensor_too_large_to_index(tmp_path):
+    # the dimension is a number too, not a traceback from building positions
+    done = run_cli(tmp_path, "(define $k (^ 10 5000))\n(generate-tensor 1#%1 {k})\n")
+    assert (done.stdout, done.stderr, done.returncode) == (
+        "", f"error: ShapeError: shape (1{'0' * 5000}) has more components than a tensor "
+        "can hold\n", 1)
 
 
 def test_run_output_does_not_depend_on_the_hash_seed(tmp_path):

@@ -388,6 +388,14 @@ class TestScalarApply:
             outcomes.add(want[0])
         assert outcomes >= {Tensor, BroadcastError, DimensionMismatchError}
 
+    def test_no_level_is_an_eval_error(self):
+        calls = []
+        for kinds, args in (((T.KIND_SCALAR,), [Integer(1)]), ((T.KIND_TENSOR,), [vec(1, 2)]),
+                            ((), [])):
+            with pytest.raises(EvalError, match="needs a scalar-kind tensor argument"):
+                T.scalar_apply(calls.append, kinds, args)
+        assert calls == []
+
     def test_levels_reduce_nested_not_flat(self):
         vs = [T.append_indices(vec(a, b), [sym("i", var)])
               for (a, b), var in (((1, 2), SUP), ((3, 4), SUP), ((5, 6), SUB))]
@@ -495,6 +503,14 @@ class TestGenerateTensor:
     def test_identity_vector(self):
         r = T.generate_tensor(lambda multi: Integer(multi[0]), (2,))
         assert ints(r) == [1, 2]
+
+    @pytest.mark.parametrize("dims", [(10 ** 30,), (2 ** 32, 2 ** 32)],
+                             ids=["one-axis", "product"])
+    def test_more_components_than_a_sequence_holds_is_a_shape_error(self, dims):
+        calls = []
+        with pytest.raises(ShapeError, match="more components than a tensor can hold"):
+            T.generate_tensor(calls.append, dims)
+        assert calls == []
 
 
 class TestFreshDummy:
