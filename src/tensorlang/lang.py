@@ -430,18 +430,18 @@ class Evaluator:
     # --- with-symbols ---------------------------------------------------------
 
     def eval_with_symbols(self, names, body, env, defining=None):
-        """Evaluate body with each name bound to a fresh local symbol; axes
-        labelled by a local symbol then become fresh dummies, and a local
-        left in a scalar becomes the scope's one `#n` for it.  `defining`
-        (an indexed definition's target and line, distinct names) first puts
-        the axes in the order of names."""
+        """Evaluate body with each name bound to a fresh symbol `#n`,
+        numbered in declaration order: a local left in a scalar already has
+        the name the result keeps.  An axis labelled by a local then becomes
+        a fresh dummy.  `defining` (an indexed definition's target and line,
+        distinct names) first puts the axes in the order of names."""
         frame = Environment(env)
-        local = {n: f"{n}%{next(self._local_ids)}" for n in names}
-        for n, name in local.items():
-            frame.define(n, symbolic.Symbol(name))
+        local = {n: SymbolLabel(f"#{next(self._local_ids)}") for n in names}
+        for n, label in local.items():
+            frame.define(n, symbolic.Symbol(label.name))
         value = self.eval(body, frame)
         if defining:
-            order = [SymbolLabel(local[n]) for n in names]
+            order = [local[n] for n in names]
             if not isinstance(value, Tensor):
                 raise EvalError(f"indexed definition {defining} needs a tensor value")
             labels = [ix.label if ix else None for ix in value.indices]
@@ -449,9 +449,12 @@ class Evaluator:
                 raise EvalError(f"indexed definition {defining}: the value's indices "
                                 f"are not {' '.join(names)} in some order")
             value = tensor.transpose(order, value)
-        renamed = {name: symbolic.Symbol(f"#{next(self._local_ids)}")
-                   for name in local.values()}
-        return _strip_locals(value, renamed, {})
+        if not isinstance(value, Tensor):
+            return value
+        own = set(local.values())
+        return tensor.make_tensor(value.shape, value.components, [
+            tensor.fresh_dummy(ix.variance) if ix is not None and ix.label in own else ix
+            for ix in value.indices])
 
     # --- application ----------------------------------------------------------
 
@@ -488,22 +491,6 @@ def _closure(params, body, env):
     return FunctionValue(None, tuple(k for k, _ in params), impl)
 
 
-def _strip_locals(val, renamed, memo):
-    """val with each axis labelled by a renamed local made a fresh dummy,
-    and each renamed local in a scalar replaced by its new symbol; `memo`
-    is the scope's one substitution memo, so shared subtrees are renamed once."""
-    if isinstance(val, Tensor):
-        new_ix = [tensor.fresh_dummy(ix.variance)
-                  if ix is not None and isinstance(ix.label, SymbolLabel)
-                  and ix.label.name in renamed else ix
-                  for ix in val.indices]
-        comps = [_strip_locals(c, renamed, memo) for c in val.components]
-        return tensor.make_tensor(val.shape, comps, new_ix)
-    if isinstance(val, symbolic.ScalarExpr):
-        return symbolic.substitute(val, renamed, memo)
-    return val
-
-
 def _strip_marker(name):
     return name[1:] if name.startswith("$") else name
 
@@ -517,7 +504,9 @@ def _sig_text(sig):
 
 class Interpreter:
     """One evaluation context: a global environment, the standard library,
-    and private counters for dummy indices and local symbols."""
+    and the evaluator's own counter for local symbols.  Dummy indices come
+    from `tensor.fresh_dummy`, one counter shared by every interpreter in
+    the process; a dummy prints as `#` whatever its number."""
 
     def __init__(self):
         self.globals = Environment()

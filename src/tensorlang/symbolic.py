@@ -187,19 +187,27 @@ def _fold(roots, visit, memo=None):
     distinct node of the DAG under all the roots, children left to right.
     The list of the roots' values, in order.  A caller's `memo` (node ->
     value, for this one `visit`) is read first and keeps every new value,
-    so later folds skip the nodes it holds."""
-    own = memo is None
-    if own:
+    so later folds skip the nodes it holds.  The walk keeps its own stack,
+    so a tree of any depth folds."""
+    if memo is None:
         memo = {}
-    def go(x):
-        if x not in memo:  # nodes hash by identity, and a key keeps its node alive
-            memo[x] = visit(x, [go(c) for c in _children(x)])
-        return memo[x]
-    try:
-        return [go(_scalar(e)) for e in roots]  # the children of a node are nodes
-    finally:
-        if own:
-            memo.clear()  # go refers to itself, so the memo would wait for the collector
+    values = []
+    for root in roots:
+        stack = [_scalar(root)]  # the children of a node are nodes, never tuples
+        while stack:
+            x = stack.pop()
+            if type(x) is tuple:  # a node and its children, all folded by now
+                x, kids = x
+                memo[x] = visit(x, [memo[c] for c in kids])
+            elif x not in memo:  # nodes hash by identity, and a key keeps its node alive
+                kids = _children(x)
+                if kids:
+                    stack.append((x, kids))
+                    stack += reversed(kids)  # the leftmost child on top
+                else:
+                    memo[x] = visit(x, [])
+        values.append(memo[root])
+    return values
 
 
 def _children(e):
@@ -399,9 +407,8 @@ def differentiate(e, name, memo=None):
 # --- substitution and numeric evaluation ------------------------------------
 
 
-def substitute(e, mapping, memo=None):
-    """e with every symbol named in `mapping` replaced by its value there;
-    calls that share one `mapping` may share one fold `memo`."""
+def substitute(e, mapping):
+    """e with every symbol named in `mapping` replaced by its value there."""
     for r in mapping.values():
         _scalar(r)
 
@@ -410,7 +417,7 @@ def substitute(e, mapping, memo=None):
             return mapping.get(x.name, x)
         return _rebuild(x, kids)
 
-    return _fold([e], visit, memo)[0]
+    return _fold([e], visit)[0]
 
 
 def eval_numeric(e, env):

@@ -157,6 +157,13 @@ def test_run_reports_depth_without_traceback(tmp_path, program, line):
     assert "Traceback" not in done.stderr
 
 
+def test_run_prints_a_scalar_deeper_than_the_python_stack(tmp_path):
+    # 1,200 nested sin: printing folds the value without recursing
+    done = run_cli(tmp_path, "(define $a x)\n" + "(define $a (sin a))\n" * 1200 + "a\n")
+    assert (done.stdout, done.stderr, done.returncode) == (
+        "(sin " * 1200 + "x" + ")" * 1200 + "\n", "", 0)
+
+
 def test_run_prints_values_before_a_later_error(tmp_path):
     done = run_cli(tmp_path, "(+ 1 2)\n" + RUNAWAY_RECURSION)
     assert done.stdout == "3\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensorlang import Interpreter, format_value
 from tensorlang import cli, golden, lang, stdlib, symbolic, tensor
-from tensorlang.errors import (ArityError, BroadcastError, DepthError,
+from tensorlang.errors import (ArityError, BroadcastError, ComparisonError, DepthError,
                                DivisionByZeroError, EvalError, LangError, ParseError)
 from tensorlang.lang import (BraceList, Indexed, ListForm, NumberLit,
                              ShorthandLambda, TensorLit, Var, parse_forms)
@@ -520,12 +520,12 @@ class TestWithSymbols:
     @pytest.mark.parametrize("body", ["[|(* 2 j) (* 2 j x)|]_i",
                                       "[|(sin (* 2 j)) (cos (* 2 j)) (* 2 j)|]"])
     def test_one_symbol_when_components_share_subtrees(self, body):
-        # the scope's components share one renaming memo
+        # a local is one symbol for the whole scope
         out = show(f"(with-symbols {{j}} {body})")
         assert len(set(re.findall(r"#[0-9]+", out))) == 1 and "%" not in out
 
     def test_nested_scopes_rename_only_their_own_locals(self):
-        # the inner scope's renaming memo maps the outer local to itself
+        # each scope names only its own locals
         out = show("(with-symbols {i} (with-symbols {j} [|i j (* i j)|]))")
         assert "%" not in out and len(set(re.findall(r"#[0-9]+", out))) == 2
 
@@ -533,6 +533,23 @@ class TestWithSymbols:
         out = show("(with-symbols {k i j} [|i j k|])")
         i, j, k = (int(n) for n in re.findall(r"#([0-9]+)", out))
         assert k < i < j
+
+    def test_a_closure_sees_the_name_the_scope_keeps(self):
+        out = show("(define $f (with-symbols {i} (lambda [$x] (+ x i))))\n(f 1)")
+        assert re.fullmatch(r"\(\+ 1 #[0-9]+\)", out), out
+
+    def test_an_error_names_the_local_as_the_result_would(self):
+        with pytest.raises(ComparisonError) as err:
+            run("(with-symbols {i} (less-than? i 1))")
+        assert re.fullmatch(r"cannot order symbolic values: #[0-9]+ vs 1", str(err.value))
+
+    def test_torus_substitutes_nothing(self, monkeypatch):
+        # a local is named once, when its scope opens: no walk renames it
+        calls = []
+        real = symbolic.substitute
+        monkeypatch.setattr(symbolic, "substitute", lambda *a: calls.append(a) or real(*a))
+        Interpreter().run_source((golden.CORPUS_DIR / "torus.tl").read_text(encoding="utf-8"))
+        assert calls == []
 
     def test_runs_twice_equally_up_to_dummies(self):
         src = "(with-symbols {i} (+ [|1 2|]_i [|3 4|]_i))"
@@ -688,3 +705,65 @@ class TestReplEquivalence:
         # prompts print without a newline, so strip them before comparing
         repl_lines = [l.lstrip("> …").strip() for l in out.getvalue().splitlines()]
         assert file_out.strip() in repl_lines
+
+
+MATRIX = "[|[|1 2|] [|3 4|]|]"
+
+# Each row pins one path through the evaluator and its builtins to the
+# value it prints, or to the error class and message it raises.
+PINNED = [
+    ("transpose", f"(transpose {{j i}} {MATRIX}_i_j)", "[|[|1 3|] [|2 4|]|]_j_i"),
+    ("transpose-order-not-a-brace", f"(transpose [|1 2|] {MATRIX}_i_j)",
+     (EvalError, "transpose expects a {…} list of index symbols")),
+    ("transpose-order-entry-not-a-symbol", f"(transpose {{1 2}} {MATRIX}_i_j)",
+     (EvalError, "transpose order entries must be symbols")),
+    ("transpose-of-a-scalar", "(transpose {i} 5)", (EvalError, "transpose expects a tensor")),
+    ("transpose-order-too-short", f"(transpose {{i}} {MATRIX}_i_j)",
+     (EvalError, "transpose order must cover every indexed axis")),
+    ("transpose-order-not-a-permutation", f"(transpose {{i k}} {MATRIX}_i_j)",
+     (EvalError, "transpose order is not a permutation of the index labels")),
+    ("depth-nesting", "(" * 3000 + ")" * 3000, (DepthError, "line 1: form nests too deeply")),
+    ("depth-recursion", "(define $f (lambda [$n] (f n)))\n(f 1)",
+     (DepthError, "line 2: form recurses too deeply")),
+    ("eq-booleans-true", "(eq? (less-than? 1 2) (less-than? 3 4))", "#t"),
+    ("eq-booleans-false", "(eq? (less-than? 1 2) (less-than? 4 3))", "#f"),
+    ("pow-non-integer", "(^ 2 (/ 1 2))", (EvalError, "^ expects a literal integer exponent")),
+    ("lambda-shape", "(lambda [$x])",
+     (ParseError, "line 1, col 1: lambda expects [parameters] and a body")),
+    ("with-symbols-shape", "(with-symbols {1} 1)",
+     (ParseError, "line 1, col 1: with-symbols expects {names} and a body")),
+    ("if-shape", "(if 1 2)",
+     (ParseError, "line 1, col 1: if expects a condition and two branches")),
+    ("define-shape", "(define $x)",
+     (ParseError, "line 1, col 1: define expects a name and a body")),
+    ("empty-tensor-literal", "[| |]", (ParseError, "line 1, col 1: empty tensor literal")),
+    ("index-unbound", "q_1", (EvalError, "cannot index the unbound symbol q (line 1)")),
+    ("index-without-label", "[|1 2|]_",
+     (EvalError, "index without a label at line 1, col 8")),
+    ("index-label-a-tensor", "(define $k [|1|])\n[|1 2|]_k",
+     (EvalError, "invalid index label k (line 2)")),
+    ("empty-application", "()", (EvalError, "empty application at line 1")),
+    ("define-mixed-index-kinds", "(define $A_i_1 [|1 2|]_i)",
+     (EvalError, "define target must use all-symbolic or all-bare indices (line 1)")),
+    ("generate-dims-not-a-brace", "(generate-tensor 1#%1 3)",
+     (EvalError, "generate-tensor expects a {…} list of dimensions")),
+    ("generate-dim-not-positive", "(generate-tensor 1#%1 {0})",
+     (EvalError, "generate-tensor dimensions must be positive integers")),
+    ("generate-no-dims", "(generate-tensor 1#%1 {})",
+     (EvalError, "generate-tensor needs at least one dimension")),
+    ("generate-arity", "(generate-tensor 2#%1 {3})",
+     (ArityError, "generator takes 2 arguments but 1 dimensions given")),
+    ("brace", "{1 x (less-than? 1 2)}", "{1 x #t}"),
+]
+
+
+@pytest.mark.parametrize("src, expected", [row[1:] for row in PINNED],
+                         ids=[row[0] for row in PINNED])
+def test_pinned_value_or_error(src, expected):
+    if isinstance(expected, str):
+        assert show(src) == expected
+        return
+    cls, message = expected
+    with pytest.raises(cls) as err:
+        run(src)
+    assert (type(err.value), str(err.value)) == (cls, message)

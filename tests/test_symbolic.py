@@ -365,6 +365,67 @@ class TestEvalNumericMany:
         assert columns == []
 
 
+class TestFold:
+    @staticmethod
+    def children(e):
+        return (*getattr(e, "terms", ()), *getattr(e, "factors", ()),
+                *[getattr(e, a) for a in ("base", "arg") if hasattr(e, a)])
+
+    def reference(self, roots):
+        """Each distinct node once, children left to right before their parent."""
+        order = {}
+
+        def walk(e):
+            if e not in order:
+                for c in self.children(e):
+                    walk(c)
+                order[e] = None
+        for e in roots:
+            walk(e)
+        return list(order)
+
+    def test_visits_each_distinct_node_once_in_post_order(self):
+        rng = random.Random(11)
+
+        def tree(e):
+            return (type(e).__name__, *map(tree, self.children(e)))
+        for _ in range(200):
+            roots = [random_scalar_expr(rng, depth=4) for _ in range(3)]
+            visited = []
+
+            def visit(e, kids):
+                visited.append(e)
+                return (type(e).__name__, *kids)
+            assert s._fold(roots, visit) == list(map(tree, roots))
+            assert visited == self.reference(roots)
+
+    def test_a_callers_memo_is_read_first_and_keeps_every_value(self):
+        e = s.add(s.sin(x), s.mul(x, y))
+        memo = {x: "seen"}
+        visited = []
+        s._fold([e], lambda n, kids: visited.append(n) or len(visited), memo)
+        assert x not in visited and set(memo) == set(self.reference([e]))
+        assert s._fold([e, x], lambda n, kids: 1 / 0, memo) == [memo[e], "seen"]
+
+    def test_the_first_error_is_the_first_in_post_order(self):
+        e = s.add(s.sin(x), s.cos(y))
+
+        def visit(n, kids):
+            if type(n) is Symbol:
+                raise EvalError(n.name)
+            return n
+        first = next(n for n in self.reference([e]) if type(n) is Symbol)
+        with pytest.raises(EvalError) as err:
+            s._fold([e], visit)
+        assert str(err.value) == first.name
+
+    def test_folds_deeper_than_the_python_stack(self):
+        e = x
+        for _ in range(3 * sys.getrecursionlimit()):
+            e = s.sin(e)
+        assert s.differentiate(e, "y") is Integer(0)
+
+
 class TestSubstitute:
     def test_simple(self):
         assert s.substitute(s.add(x, y), {"x": Integer(2)}) == s.add(Integer(2), y)
