@@ -121,6 +121,7 @@ class ShorthandLambda:
 
 
 _INT_RE = re.compile(r"-?[0-9]+\Z")
+_NUMBER_LIKE_RE = re.compile(r"-?[0-9]")
 _PLACEHOLDER_RE = re.compile(r"%([0-9]+)\Z")
 _PARAM_RE = re.compile(r"(\*\$|\$|%)(.+)\Z")  # a lambda parameter: marker, name
 _PARAM_KIND = {"*$": KIND_INVERTED, "$": KIND_SCALAR, "%": KIND_TENSOR}
@@ -240,6 +241,11 @@ class Parser:
             raise ParseError(f"index suffix {text!r} has no target expression", *pos)
         if _INT_RE.match(text):
             return NumberLit(symbolic.from_digits(text), pos)
+        if text[0] == "#" and text not in ("#t", "#f"):  # `#n` names with-symbols locals
+            raise ParseError(f"{text!r} is not a name: only #t and #f start with '#'", *pos)
+        if text[0] in "-0123456789" and _NUMBER_LIKE_RE.match(text):  # `-` alone is a name
+            raise ParseError(f"{text!r} is not an integer: numbers are exact, "
+                             f"so write a rational as (/ -5 2)", *pos)
         self._placeholder(text)
         return Var(text, pos)
 

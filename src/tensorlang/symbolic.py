@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import random
 from fractions import Fraction
 from operator import attrgetter, is_
 
@@ -584,5 +585,97 @@ def numeric_less_than(a, b):
 def decide_equal(a, b):
     if a is b or is_numeric(a) and is_numeric(b):
         return a is b  # numbers are interned too
-    raise ComparisonError(
-        f"cannot decide equality of symbolic values: {format_scalar(a)} vs {format_scalar(b)}")
+    return is_zero(sub(a, b))
+
+
+# --- identity testing -------------------------------------------------------
+
+
+_P = 2 ** 61 - 1  # a prime that is 3 mod 4: 1 + t² is never 0 modulo it
+_SEED = 1980
+_TRIALS = 3
+
+
+class _Pole(Exception):
+    """A denominator is 0 at the sample point."""
+
+
+def is_zero(e):
+    """Whether e is identically 0, by evaluating it exactly modulo the prime
+    p = 2^61 - 1 at seeded random points (Schwartz, JACM 1980; Zippel 1979).
+
+    The class decided: rational functions of symbols and of sin/cos whose
+    argument is an integer-linear combination of symbols, such as θ,
+    (* 2 θ) or (+ θ φ).  Each such symbol θ is drawn as a t with
+    (sin θ, cos θ) = (2t/(1+t²), (1-t²)/(1+t²)), the exact image of
+    θ = 2·atan t, and a combination's sin and cos follow by angle addition.
+    A polynomial occurrence of θ gets its own value, which is sound because
+    θ is transcendental over Q(sin θ, cos θ).  Any other sin/cos argument
+    raises ComparisonError.
+
+    A nonzero residue proves that e is not identically 0, so that answer
+    returns after one trial.  "Zero" needs all _TRIALS = 3 trials to agree:
+    a nonzero e whose numerator has degree D passes one trial with
+    probability at most D/p, so all of them with at most (D/p)^3.  A point
+    at which a denominator is 0 is drawn again; a denominator that is 0 at
+    3 draws is a DivisionByZeroError.  The points come from one seeded
+    generator, so every call gives the same answer."""
+    rng = random.Random(_SEED)
+    trials = poles = 0
+    while trials < _TRIALS:
+        values, circle = {}, {}  # symbol name -> its value; -> its (cos, sin)
+        try:
+            residue = _fold([e], lambda x, v: _residue(x, v, rng, values, circle))[0]
+        except _Pole:
+            poles += 1
+            if poles == _TRIALS:
+                raise DivisionByZeroError("a denominator is 0 at every sample point") from None
+            continue
+        if residue:
+            return False
+        trials += 1
+    return True
+
+
+def _residue(x, v, rng, values, circle):
+    """x modulo p at the sample point, from its children's residues `v`."""
+    t = type(x)
+    if t is Integer:
+        return x.value % _P
+    if t is Rational:
+        if x.denominator % _P == 0:
+            raise _Pole
+        return x.numerator * pow(x.denominator, -1, _P) % _P
+    if t is Symbol:
+        if x.name not in values:
+            values[x.name] = rng.randrange(_P)
+        return values[x.name]
+    if t is Sum:
+        return sum(v) % _P
+    if t is Product:
+        return math.prod(v) % _P
+    if t is Power:
+        if v[0] == 0 and x.exponent < 0:
+            raise _Pole
+        return pow(v[0], x.exponent, _P)
+    c, s = 1, 0  # cos and sin of the argument, by angle addition over its terms
+    for term in x.arg.terms if type(x.arg) is Sum else (x.arg,):
+        k, m = _split_term(term)
+        if k == 0 and m is None:  # the argument 0
+            continue
+        if type(m) is not Symbol or type(k) is not int:
+            raise ComparisonError(
+                f"cannot decide identities of ({x.fn} {format_scalar(x.arg)}): "
+                f"its argument is not an integer combination of symbols")
+        if m.name not in circle:
+            u = rng.randrange(_P)
+            d = pow(1 + u * u, -1, _P)
+            circle[m.name] = ((1 - u * u) * d % _P, 2 * u * d % _P)
+        uc, us = circle[m.name]
+        if k < 0:  # the inverse of a point on the unit circle is its conjugate
+            k, us = -k, -us
+        while k:  # (c + i s) · (uc + i us)^k
+            if k & 1:
+                c, s = (c * uc - s * us) % _P, (c * us + s * uc) % _P
+            uc, us, k = (uc * uc - us * us) % _P, 2 * uc * us % _P, k >> 1
+    return s if x.fn == "sin" else c

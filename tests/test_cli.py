@@ -136,6 +136,15 @@ def test_demo_counts_a_nan_as_a_mismatch(monkeypatch):
     assert lines[1] == "  worst relative gap vs oracle: 3.291e-16 (tolerance 1e-9)"
 
 
+def test_demo_fails_when_a_nonzero_component_is_identically_zero(monkeypatch):
+    # the values still agree with the oracle: only the identity test says 0
+    monkeypatch.setattr(cli, "is_zero", lambda e: True)
+    out = io.StringIO()
+    assert cli.demo_torus(samples=3, out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[3:] == ["  four structurally nonzero components present: NO", "demo FAILED"]
+
+
 def test_repl_session():
     out = io.StringIO()
     src = "(+ 1\n   2)\n(+ 1))\n(* 2 3)\n"

@@ -708,6 +708,7 @@ class TestReplEquivalence:
 
 
 MATRIX = "[|[|1 2|] [|3 4|]|]"
+NOT_AN_INTEGER = "is not an integer: numbers are exact, so write a rational as (/ -5 2)"
 
 # Each row pins one path through the evaluator and its builtins to the
 # value it prints, or to the error class and message it raises.
@@ -727,6 +728,8 @@ PINNED = [
      (DepthError, "line 2: form recurses too deeply")),
     ("eq-booleans-true", "(eq? (less-than? 1 2) (less-than? 3 4))", "#t"),
     ("eq-booleans-false", "(eq? (less-than? 1 2) (less-than? 4 3))", "#f"),
+    ("less-than-equal", "(less-than? 1 1)", "#f"),
+    ("less-than-greater", "(less-than? 2 1)", "#f"),
     ("pow-non-integer", "(^ 2 (/ 1 2))", (EvalError, "^ expects a literal integer exponent")),
     ("lambda-shape", "(lambda [$x])",
      (ParseError, "line 1, col 1: lambda expects [parameters] and a body")),
@@ -737,6 +740,12 @@ PINNED = [
     ("define-shape", "(define $x)",
      (ParseError, "line 1, col 1: define expects a name and a body")),
     ("empty-tensor-literal", "[| |]", (ParseError, "line 1, col 1: empty tensor literal")),
+    ("reader-hash-name", "(with-symbols {i} (eq? i #1))",
+     (ParseError, "line 1, col 26: '#1' is not a name: only #t and #f start with '#'")),
+    ("reader-decimal", "(+ 1.5 1)", (ParseError, f"line 1, col 4: '1.5' {NOT_AN_INTEGER}")),
+    ("reader-exponent", "(+ 1e3 0)", (ParseError, f"line 1, col 4: '1e3' {NOT_AN_INTEGER}")),
+    ("reader-slash", "(* 2 -5/2)", (ParseError, f"line 1, col 6: '-5/2' {NOT_AN_INTEGER}")),
+    ("reader-still-names", "{- -x #t #f}", "{#<builtin:-> -x #t #f}"),
     ("index-unbound", "q_1", (EvalError, "cannot index the unbound symbol q (line 1)")),
     ("index-without-label", "[|1 2|]_",
      (EvalError, "index without a label at line 1, col 8")),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tensorlang import Interpreter, format_value, lang
+from tensorlang import Interpreter, format_value, lang, symbolic
 from tensorlang.errors import (ArityError, ComparisonError,
                                DimensionMismatchError, EvalError,
                                SingularMatrixError)
@@ -239,3 +239,27 @@ class TestScalarBuiltins:
     def test_incomparable(self, it):
         with pytest.raises(ComparisonError):
             it.eval_source("(less-than? x 1)")
+
+
+class TestEqDecidesIdentities:
+    @pytest.mark.parametrize("src, printed", [
+        ("(eq? (* x (+ x 1)) (+ (^ x 2) x))", "#t"),
+        ("(eq? x y)", "#f"),
+        ("(eq? x 1)", "#f"),
+        ("(eq? (cos (- θ φ)) (+ (* (cos θ) (cos φ)) (* (sin θ) (sin φ))))", "#t"),
+        ("(eq? [|(* (sin x) (sin x)) x|]_i [|(- 1 (* (cos x) (cos x))) y|]_i)", "[|#t #f|]_i"),
+        ("(with-symbols {i j} (eq? i j))", "#f"),
+        ("(generate-tensor (lambda [$i $j] (if (eq? (sin (* i θ)) (sin (* j θ))) 1 0)) {2 2})",
+         "[|[|1 0|] [|0 1|]|]"),
+    ])
+    def test_symbolic_operands(self, it, src, printed):
+        assert show(it, src) == printed
+
+    def test_an_argument_outside_the_class_raises(self, it):
+        with pytest.raises(ComparisonError):
+            it.eval_source("(eq? (sin (* x x)) 1)")
+
+    def test_numbers_and_one_node_take_the_fast_path(self, it, monkeypatch):
+        monkeypatch.setattr(symbolic, "is_zero", lambda e: pytest.fail("is_zero called"))
+        assert [show(it, f"(eq? {a} {b})") for a, b in [(1, 1), (1, 2), ("x", "x")]] == \
+            ["#t", "#f", "#t"]

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from tensorlang import Interpreter, cli, symbolic as s
-from tensorlang.errors import DivisionByZeroError, EvalError
+from tensorlang.errors import ComparisonError, DivisionByZeroError, EvalError
 from tensorlang.symbolic import (Apply, Integer, Power, Product, Rational,
                                  Sum, Symbol)
+from tensorlang.tensor import positions
 
 from helpers import (random_binding, random_scalar_expr, reference_eval_numeric,
                      reference_pythagoras, reference_sort_key, subterms, values_close)
@@ -258,6 +259,79 @@ class TestExpandAndSimplify:
         nodes, splits = map(int, out.split())
         assert nodes <= 258  # 315 when each merge collected the whole sum again
         assert splits <= 1000  # 2,892 then
+
+
+class TestIsZero:
+    def test_an_expansion_is_zero_against_its_input(self):
+        rng = random.Random(23)  # the draws of test_preserves_value
+        drawn = [random_scalar_expr(rng) for _ in range(40)]
+        for e in [*drawn, *seeded_pair_sums(300), *torus_riemann()]:
+            assert s.is_zero(s.sub(e, s.expand_and_simplify(e)))
+
+    @pytest.mark.parametrize("a, b", [
+        (s.add(s.powi(s.sin(x), 2), s.powi(s.cos(x), 2)), Integer(1)),
+        (s.sin(s.mul(Integer(2), th)), s.mul(Integer(2), s.sin(th), s.cos(th))),
+        (s.cos(s.sub(th, x)), s.add(s.mul(s.cos(th), s.cos(x)), s.mul(s.sin(th), s.sin(x)))),
+        (s.cos(s.mul(Integer(-3), th)),
+         s.sub(s.mul(Integer(4), s.powi(s.cos(th), 3)), s.mul(Integer(3), s.cos(th)))),
+        (s.div(Integer(1), s.cos(th)), s.div(s.cos(th), s.sub(Integer(1), s.powi(s.sin(th), 2)))),
+        (s.mul(th, s.add(s.powi(s.sin(th), 2), s.powi(s.cos(th), 2))), th),
+        (s.cos(Integer(0)), Integer(1)),
+    ], ids=["pythagoras", "double-angle", "angle-difference", "triple-angle", "reciprocal",
+            "polynomial-and-trig-theta", "cos-0"])
+    def test_identities_are_zero_and_their_perturbations_are_not(self, a, b):
+        assert s.is_zero(s.sub(a, b))
+        assert not s.is_zero(s.sub(a, b, Integer(1)))
+        assert not s.is_zero(s.sub(a, s.mul(b, x, y)))
+
+    def test_a_symbol_is_not_its_sine(self):
+        assert not s.is_zero(s.sub(th, s.sin(th)))
+
+    def test_the_torus_curvature_is_nonzero_exactly_at_the_four_positions(self):
+        R = torus_riemann()
+        nonzero = [p for p, c in zip(positions((2, 2, 2, 2)), R) if not s.is_zero(c)]
+        assert nonzero == list(cli._NONZERO_R)
+        assert not any(s.is_zero(s.add(c, Integer(1))) for c in R)
+
+    @pytest.mark.parametrize("arg", [
+        s.mul(x, x), s.add(x, Integer(1)), s.mul(Rational(1, 2), x), s.sin(x), Integer(3)])
+    def test_an_argument_outside_the_class_raises(self, arg):
+        with pytest.raises(ComparisonError):
+            s.is_zero(s.sub(s.sin(arg), y))
+
+    def test_a_pole_at_the_first_point_is_drawn_again(self, monkeypatch):
+        monkeypatch.setattr(s, "_SEED", 7)
+        v = Integer(random.Random(7).randrange(s._P))  # x's value at the first point
+        poles, residue = [], s._residue
+
+        def spy(*args):
+            try:
+                return residue(*args)
+            except s._Pole:
+                poles.append(args[0])
+                raise
+        monkeypatch.setattr(s, "_residue", spy)
+        pole = s.powi(s.sub(x, v), -1)
+        # (x² - v²)/(x - v) - (x + v) is 0 and 1/(x - v) is not; both have a pole at x = v
+        assert s.is_zero(s.sub(s.mul(pole, s.sub(s.powi(x, 2), s.powi(v, 2))), s.add(x, v)))
+        assert not s.is_zero(pole)
+        assert poles == [pole, pole]
+
+    def test_a_denominator_that_is_always_zero_raises(self):
+        with pytest.raises(DivisionByZeroError):
+            s.is_zero(s.powi(s.sin(Integer(0)), -1))
+
+    def test_two_calls_give_the_same_answer(self):
+        exprs = [s.add(c, Integer(k)) for c in torus_riemann()[:4] for k in (0, 1)]
+        assert [s.is_zero(e) for e in exprs] == [s.is_zero(e) for e in exprs]
+
+    def test_the_first_point_does_not_depend_on_string_hashing(self):
+        # CI runs this under two PYTHONHASHSEEDs: the pin holds under any
+        e = s.add(s.mul(x, s.sin(s.add(th, Symbol("φ")))),
+                  s.div(s.cos(s.mul(Integer(2), th)), s.add(y, Rational(1, 3))))
+        rng, values, circle = random.Random(s._SEED), {}, {}
+        residue = s._fold([e], lambda n, v: s._residue(n, v, rng, values, circle))[0]
+        assert residue == 1535898972767644122
 
 
 def seeded_pair_sums(count):
