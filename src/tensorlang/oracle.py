@@ -11,14 +11,13 @@ so an agreement between the two pipelines checks both.
 Every function takes scalars or equal-shaped arrays with one entry per
 binding: a result's leading axes are the bindings' and its last axes are
 the tensor's.  The closed-form torus metric is cross-checked at every
-binding against central-difference basis vectors of its embedding in R^3.
+binding against the metric its embedding in R^3 induces, whose basis
+vectors are the gradients of one jet pass of the embedding.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-STEP = 1e-5  # central-difference step of the embedding cross-check
 
 
 class Jet:
@@ -64,16 +63,23 @@ def cos(u):
     return u.chain(np.cos(u.v), -np.sin(u.v), -np.cos(u.v))
 
 
+def _seed(points, params):
+    """(shape, zero, coordinate jets, flat params): the bindings' shape, a zero
+    jet to lift numbers by, and one jet per coordinate with a unit gradient."""
+    arrays = np.broadcast_arrays(*points, *params)
+    n, shape, flat = len(points), arrays[0].shape, [np.ravel(x) * 1.0 for x in arrays]
+    zero = Jet(*(np.zeros((n,) * d + flat[0].shape) for d in range(3)))
+    unit = np.eye(n)[:, :, None] + zero.g
+    return shape, zero, [Jet(x, unit[k], zero.h) for k, x in enumerate(flat[:n])], flat[n:]
+
+
 def curvature(metric_fn, points, *params):
     """(g, Γ1, Γ2, R) at `points`, one array per coordinate; `metric_fn(*coordinate
     jets, *params)` gives g's rows of jets and numbers.  Γ1[i][j][k] = (∂_k g_ij
     + ∂_j g_ik − ∂_i g_jk) / 2, Γ2[i][k][l] = g^{ij} Γ1[j][k][l] and R[i][j][k][l]
     = ∂_k Γ2[i][j][l] + Γ2[m][j][l] Γ2[i][m][k] − (the same with k and l swapped)."""
-    arrays = np.broadcast_arrays(*points, *params)
-    n, shape, flat = len(points), arrays[0].shape, [np.ravel(x) * 1.0 for x in arrays]
-    zero = Jet(*(np.zeros((n,) * d + flat[0].shape) for d in range(3)))
-    unit = np.eye(n)[:, :, None] + zero.g
-    rows = metric_fn(*[Jet(x, unit[k], zero.h) for k, x in enumerate(flat[:n])], *flat[n:])
+    shape, zero, xs, ps = _seed(points, params)
+    rows = metric_fn(*xs, *ps)
     g, dg, ddg = (np.array([[getattr(e + zero, part) for e in row] for row in rows]).transpose(axes)
                   for part, axes in zip("vgh", ((2, 0, 1), (3, 2, 0, 1), (4, 3, 2, 0, 1))))
 
@@ -90,22 +96,10 @@ def curvature(metric_fn, points, *params):
     return tuple(t.reshape(shape + t.shape[1:]) for t in (g, c1, c2, r))
 
 
-def embedding(a, b, theta, phi):
-    """Point of the torus with tube radius a and center radius b."""
-    w = a * np.cos(theta) + b
-    return np.stack([w * np.cos(phi), w * np.sin(phi), a * np.sin(theta)], axis=-1)
-
-
-def basis_fd(a, b, theta, phi):
-    """Rows are the coordinate basis vectors, by central differences."""
-    return np.stack([embedding(a, b, theta + STEP, phi) - embedding(a, b, theta - STEP, phi),
-                     embedding(a, b, theta, phi + STEP) - embedding(a, b, theta, phi - STEP)],
-                    axis=-2) / (2 * STEP)
-
-
-def metric_fd(a, b, theta, phi):
-    e = basis_fd(a, b, theta, phi)
-    return e @ np.swapaxes(e, -1, -2)
+def embedding(theta, phi, a, b):
+    """Point of the torus with tube radius a and center radius b, over jets."""
+    w = a * cos(theta) + b
+    return [w * cos(phi), w * sin(phi), a * sin(theta)]
 
 
 def torus_metric(theta, phi, a, b):
@@ -117,9 +111,12 @@ def torus_metric(theta, phi, a, b):
 def torus_curvature(a, b, theta, phi):
     """`curvature` of the torus, its metric checked against the embedding's."""
     out = curvature(torus_metric, (theta, phi), a, b)
-    gap = np.abs(out[0] - metric_fd(a, b, theta, phi)).max(axis=(-2, -1))
-    if not np.all(gap <= 1e-7 * (1 + np.abs(b) + np.abs(a)) ** 2):
-        raise AssertionError("closed-form metric disagrees with finite differences")
+    _, _, xs, ps = _seed((theta, phi), (a, b))
+    basis = np.array([x.g for x in embedding(*xs, *ps)])  # ∂_i X_c as [c, i, binding]
+    induced = np.einsum("cin,cjn->nij", basis, basis).reshape(out[0].shape)
+    gap = np.abs(out[0] - induced).max(axis=(-2, -1))
+    if not np.all(gap <= 1e-12 * np.abs(induced).max(axis=(-2, -1))):
+        raise AssertionError("closed-form metric disagrees with the embedding's induced metric")
     return out
 
 

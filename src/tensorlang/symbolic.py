@@ -242,7 +242,10 @@ def _rebuild(e, children):
 def _apply(fn, arg):
     if fn not in ("sin", "cos"):
         raise EvalError(f"unknown function symbol: {fn}")
-    return _make(Apply, fn, _scalar(arg))
+    arg = _scalar(arg)
+    if arg == ZERO:  # sin 0 and cos 0 are exact numbers
+        return ZERO if fn == "sin" else ONE
+    return _make(Apply, fn, arg)
 
 
 def _pow(base, n):
@@ -661,8 +664,6 @@ def _residue(x, v, rng, values, circle):
     c, s = 1, 0  # cos and sin of the argument, by angle addition over its terms
     for term in x.arg.terms if type(x.arg) is Sum else (x.arg,):
         k, m = _split_term(term)
-        if k == 0 and m is None:  # the argument 0
-            continue
         if type(m) is not Symbol or type(k) is not int:
             raise ComparisonError(
                 f"cannot decide identities of ({x.fn} {format_scalar(x.arg)}): "

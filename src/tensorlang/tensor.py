@@ -100,30 +100,29 @@ def make_tensor(shape, components, indices=None):
     return Tensor(shape, components, tuple(indices))
 
 
-def tensor_from_nested(elements):
-    """Stack already-evaluated element values one level deep.
+def _stack(outer, elements):
+    """A tensor of shape `outer` whose row-major components are the scalar
+    `elements`, or whose row-major sub-blocks are the equal-shape index-free
+    tensor `elements`.  Ragged or mixed elements are an error."""
+    if not any(isinstance(e, Tensor) for e in elements):
+        return make_tensor(outer, elements)
+    if not all(isinstance(e, Tensor) for e in elements):
+        raise ShapeError("tensor literal mixes scalars and tensors")
+    first = elements[0]
+    for e in elements:
+        if e.shape != first.shape:
+            raise ShapeError(f"ragged tensor literal: {e.shape} next to {first.shape}")
+        if any(ix is not None for ix in e.indices):
+            raise ShapeError("tensor literal elements must not carry indices")
+    return make_tensor((*outer, *first.shape), [c for e in elements for c in e.components])
 
-    Scalars make a vector; equal-shape index-free tensors stack into a
-    higher-rank tensor.  Ragged or mixed nesting is an error.
-    """
+
+def tensor_from_nested(elements):
+    """Stack already-evaluated element values one level deep."""
     elements = list(elements)
     if not elements:
         raise ShapeError("empty tensor literal")
-    if all(isinstance(e, Tensor) for e in elements):
-        first = elements[0]
-        for e in elements:
-            if e.shape != first.shape:
-                raise ShapeError(
-                    f"ragged tensor literal: {e.shape} next to {first.shape}")
-            if any(ix is not None for ix in e.indices):
-                raise ShapeError("tensor literal elements must not carry indices")
-        comps = []
-        for e in elements:
-            comps.extend(e.components)
-        return make_tensor((len(elements), *first.shape), comps)
-    if any(isinstance(e, Tensor) for e in elements):
-        raise ShapeError("tensor literal mixes scalars and tensors")
-    return make_tensor((len(elements),), elements)
+    return _stack((len(elements),), elements)
 
 
 def _gather(comps, from_shape, shape, axis_of, base=0):
@@ -358,11 +357,10 @@ def scalar_apply(call, kinds, args):
 
 
 def generate_tensor(call, dims):
-    """Build a tensor of the given dimensions; the component at each 1-based
-    position is `call(position)`."""
+    """Build a tensor of the given dimensions; the element at each 1-based
+    position is `call(position)`, stacked as a literal stacks its elements."""
     dims = tuple(dims)
     if math.prod(dims) > sys.maxsize:  # more than a sequence can index
         raise ShapeError(f"shape ({', '.join(map(digits, dims))}) has more components "
                          "than a tensor can hold")
-    comps = [call(multi) for multi in positions(dims)]
-    return make_tensor(dims, comps)
+    return _stack(dims, [call(multi) for multi in positions(dims)])

@@ -1,3 +1,4 @@
+import gc
 import io
 import itertools
 import math
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tensorlang import Interpreter, format_value
 from tensorlang import cli, golden, lang, stdlib, symbolic, tensor
 from tensorlang.errors import (ArityError, BroadcastError, ComparisonError, DepthError,
-                               DivisionByZeroError, EvalError, LangError, ParseError)
+                               DivisionByZeroError, EvalError, LangError, ParseError,
+                               ShapeError, SingularMatrixError)
 from tensorlang.lang import (BraceList, Indexed, ListForm, NumberLit,
                              ShorthandLambda, TensorLit, Var, parse_forms)
 from tensorlang.symbolic import Integer, Symbol
@@ -305,7 +307,8 @@ class TestBroadcastOncePerTuple:
         ("(+ [|1 2|]_i +)", "+ expects scalar arguments, got FunctionValue"),
         ("(* [|1 2|]_i {1 2})", "* expects scalar arguments, got BraceValue"),
         ("(+ [|1 2|]_i [|+ -|]_j)", "+ expects scalar arguments, got FunctionValue"),
-        ("(+ (generate-tensor 1#[|%1 %1|] {2})_i 1)", "+ expects scalar arguments, got Tensor"),
+        ("(+ (contract (lambda [%a %b] [|a b|]) (generate-tensor 3#(+ %1 %2 %3) {2 2 2})~i_i_j)_k 1)",
+         "+ expects scalar arguments, got Tensor"),
     ])
     def test_every_value_is_a_memo_key(self, src, message):
         # the memo is keyed by the argument tuple, so a value that did not
@@ -422,12 +425,16 @@ class TestBroadcastFrames:
         def profile(frame, event, arg):
             nonlocal count
             count += event == "call"
-        previous = sys.getprofile()
+        # a collection would enter Python-level gc.callbacks (hypothesis registers one)
+        previous, collecting = sys.getprofile(), gc.isenabled()
+        gc.disable()
         sys.setprofile(profile)
         try:
             fn(*args)
         finally:
             sys.setprofile(previous)
+            if collecting:
+                gc.enable()
         return count
 
     def test_a_repeated_tuple_enters_no_python_frame(self):
@@ -762,6 +769,19 @@ PINNED = [
      (EvalError, "generate-tensor needs at least one dimension")),
     ("generate-arity", "(generate-tensor 2#%1 {3})",
      (ArityError, "generator takes 2 arguments but 1 dimensions given")),
+    ("generate-stacks-tensors", "(+ (generate-tensor (lambda [$k] [|1 2|]) {2})_i_j 1)",
+     "[|[|2 3|] [|2 3|]|]_i_j"),
+    ("generate-indexed-result", "(generate-tensor (lambda [$k] [|1 2|]_j) {2})",
+     (ShapeError, "tensor literal elements must not carry indices")),
+    ("generate-ragged-results", "(generate-tensor 1#(if (eq? %1 1) [|1 2|] [|1 2 3|]) {2})",
+     (ShapeError, "ragged tensor literal: (3,) next to (2,)")),
+    ("generate-mixed-results", "(generate-tensor 1#(if (eq? %1 1) [|1 2|] 1) {2})",
+     (ShapeError, "tensor literal mixes scalars and tensors")),
+    ("sin-of-zero", "(sin 0)", "0"),
+    ("cos-of-zero", "(cos 0)", "1"),
+    ("divide-by-sin-of-zero", "(/ 1 (sin 0))", (DivisionByZeroError, "division by zero")),
+    ("inverse-with-sin-of-zero", "(M.inverse [|[|(sin 0) 0|] [|0 1|]|])",
+     (SingularMatrixError, "matrix has a canonically zero determinant")),
     ("brace", "{1 x (less-than? 1 2)}", "{1 x #t}"),
 ]
 

@@ -33,13 +33,12 @@ def test_batch_equals_each_point(name):
 def test_metric_cross_check_fires_for_one_bad_binding(monkeypatch):
     a, b, theta, phi = (np.array(c) for c in zip(*seeded_points(8)))
     oracle.metric(a, b, theta, phi)
-    real_fd = oracle.metric_fd
+    real_embedding = oracle.embedding
 
     def off_at_binding_5(*args, **kw):
-        fd = real_fd(*args, **kw)
-        fd[5, 1, 1] += 1e-3
-        return fd
+        x, y, z = real_embedding(*args, **kw)
+        return [x * np.where(np.arange(8) == 5, 1 + 1e-3, 1.0), y, z]
 
-    monkeypatch.setattr(oracle, "metric_fd", off_at_binding_5)
-    with pytest.raises(AssertionError, match="disagrees with finite differences"):
+    monkeypatch.setattr(oracle, "embedding", off_at_binding_5)
+    with pytest.raises(AssertionError, match="disagrees with the embedding's induced metric"):
         oracle.metric(a, b, theta, phi)
