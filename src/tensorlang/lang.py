@@ -68,6 +68,12 @@ class NumberLit:
 
 
 @dataclass
+class BoolLit:
+    value: bool
+    pos: tuple
+
+
+@dataclass
 class Var:
     name: str
     pos: tuple
@@ -187,7 +193,7 @@ class Parser:
         for s in specs:
             self._placeholder(s.text)
         # an indexed atom keeps the atom's position, an indexed form the chain's
-        at = node.pos if isinstance(node, (Var, NumberLit)) else (nxt.line, nxt.col)
+        at = node.pos if isinstance(node, (Var, NumberLit, BoolLit)) else (nxt.line, nxt.col)
         return Indexed(node, specs, at)
 
     def _sequence(self, opener, closer, build):
@@ -241,7 +247,9 @@ class Parser:
             raise ParseError(f"index suffix {text!r} has no target expression", *pos)
         if _INT_RE.match(text):
             return NumberLit(symbolic.from_digits(text), pos)
-        if text[0] == "#" and text not in ("#t", "#f"):  # `#n` names with-symbols locals
+        if text in ("#t", "#f"):
+            return BoolLit(text == "#t", pos)
+        if text[0] == "#":  # `#n` names with-symbols locals
             raise ParseError(f"{text!r} is not a name: only #t and #f start with '#'", *pos)
         if text[0] in "-0123456789" and _NUMBER_LIKE_RE.match(text):  # `-` alone is a name
             raise ParseError(f"{text!r} is not an integer: numbers are exact, "
@@ -306,6 +314,9 @@ class Evaluator:
         # symbol name -> {node: its derivative}, filled by ∂/∂ for the life
         # of this evaluator, so a node is differentiated once per symbol
         self.derivatives = collections.defaultdict(dict)
+        # function value -> its `functools.cache`, kept for the life of this
+        # evaluator: `stdlib.install` fills it for the scalar builtins
+        self.memos = {}
 
     # value of a node in an environment
     def eval(self, node, env):
@@ -325,6 +336,8 @@ class Evaluator:
                     f"placeholder {node.excess} exceeds shorthand arity {node.arity}")
             params = tuple((KIND_TENSOR, f"%{k}") for k in range(1, node.arity + 1))
             return _closure(params, node.body, env)
+        if isinstance(node, BoolLit):
+            return node.value
         if isinstance(node, BrackList):
             raise EvalError(f"unexpected [...] at line {node.pos[0]}")
         if isinstance(node, ListForm):
@@ -468,7 +481,7 @@ class Evaluator:
         kinds = fv.kinds
         if fv.variadic:
             if not args:
-                raise ArityError(f"{fv.name} expects at least 1 arguments, got 0")
+                raise ArityError(f"{fv.name} expects at least 1 argument, got 0")
             kinds = kinds * len(args)
         elif len(args) != len(kinds):
             raise ArityError(f"{fv.name or 'function'} expects {len(kinds)} "
@@ -481,9 +494,11 @@ class Evaluator:
             return fv.impl(self, args)
         # A closure can make fresh names, so it runs at every position.  A
         # builtin is a function of its arguments, and every value hashes, so
-        # it runs once per distinct argument tuple.
+        # it runs once per distinct argument tuple: once per evaluator when
+        # it has a memo in `memos`, else once per call.
         impl = functools.partial(fv.impl, self)
-        return tensor.scalar_apply(functools.cache(impl) if fv.name else impl, kinds, args)
+        memo = self.memos.get(fv) or (functools.cache(impl) if fv.name else impl)
+        return tensor.scalar_apply(memo, kinds, args)
 
 
 def _closure(params, body, env):

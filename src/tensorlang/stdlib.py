@@ -4,6 +4,8 @@ flip, and the matrix/vector helpers."""
 
 from __future__ import annotations
 
+import functools
+
 from . import lang, symbolic, tensor
 from .errors import ArityError, EvalError, SingularMatrixError
 from .symbolic import (Integer, ScalarExpr, Symbol, add, cos, decide_equal,
@@ -217,7 +219,10 @@ BUILTINS = [
 
 
 def install(interp):
+    ev = interp.evaluator
     for b in BUILTINS:
         interp.globals.define(b.name, b)
+        if KIND_TENSOR not in b.kinds:  # a scalar builtin remembers every tuple it meets
+            ev.memos[b] = functools.cache(functools.partial(b.impl, ev))
     for node, _, _ in _PRELUDE_FORMS:
-        interp.evaluator.eval(node, interp.globals)
+        ev.eval(node, interp.globals)

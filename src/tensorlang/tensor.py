@@ -321,8 +321,9 @@ def scalar_apply(call, kinds, args):
     levels), then index reduction.  It needs at least one level and raises
     EvalError without one: with none, `Evaluator.call` calls the function
     directly.  For a builtin, `Evaluator.call` passes a `functools.cache`
-    of `functools.partial(impl, evaluator)` made for that one call, so a
-    repeated argument tuple is answered without running `impl` again.
+    of `functools.partial(impl, evaluator)`, which lives as long as the
+    evaluator for a standard-library scalar builtin and for that one call
+    otherwise, so a repeated argument tuple does not run `impl` again.
 
     Tensor-kind arguments and plain scalars pass through whole, each as a
     level of one position; an inverted-scalar argument has its indices

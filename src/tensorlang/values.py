@@ -26,8 +26,10 @@ class FunctionValue:
     is a function of its arguments: equal argument tuples give the same
     result, or the same error, so broadcasting calls it once per distinct
     tuple, through a `functools.cache` of `functools.partial(impl,
-    evaluator)` made for that one call.  A function value is equal only
-    to itself, and hashes by identity, so it can be in the cache's key."""
+    evaluator)`: the evaluator's own for a standard-library scalar
+    builtin (see `Evaluator.memos`), one made for that call for any
+    other.  A function value is equal only to itself, and hashes by
+    identity, so it can be in the cache's key."""
     name: Optional[str]
     kinds: tuple
     impl: Callable

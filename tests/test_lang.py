@@ -217,7 +217,7 @@ class TestCallPath:
     rule, the same `flip`, the same function checks."""
 
     @pytest.mark.parametrize("src, error, message", [
-        ("(+)", ArityError, "+ expects at least 1 arguments, got 0"),
+        ("(+)", ArityError, "+ expects at least 1 argument, got 0"),
         ("(/ 1)", ArityError, "/ expects 2 arguments, got 1"),
         ("((lambda [$x] x) 1 2)", ArityError, "function expects 1 arguments, got 2"),
         ("(flip sin)", ArityError, "flip needs a two-argument function"),
@@ -714,6 +714,58 @@ class TestReplEquivalence:
         assert file_out.strip() in repl_lines
 
 
+class TestScalarBuiltinMemo:
+    """A scalar builtin of the standard library remembers its results for
+    the life of its evaluator; a flipped builtin does not, and a call with
+    no level (a contract fold) is not remembered."""
+
+    @staticmethod
+    def counting(monkeypatch, op):
+        # `_scalar` looks `op` up at each call, so this sees every memo miss
+        calls = []
+        f = getattr(stdlib, op)
+
+        def counted(*xs):
+            calls.append(xs)
+            return f(*xs)
+        monkeypatch.setattr(stdlib, op, counted)
+        return calls
+
+    def test_a_second_broadcast_runs_no_impl_and_a_new_interpreter_starts_empty(
+            self, monkeypatch):
+        calls = self.counting(monkeypatch, "add")
+        src = "(+ [|1 2|]_i [|10 20|]_j)"
+        interp = Interpreter()
+        assert format_value(interp.eval_source(src)) == "[|[|11 21|] [|12 22|]|]_i_j"
+        assert len(calls) == 4
+        assert format_value(interp.eval_source(f"(* 2 {src})")) == "[|[|22 42|] [|24 44|]|]_i_j"
+        assert len(calls) == 4
+        Interpreter().eval_source(src)
+        assert len(calls) == 8
+
+    def test_a_flipped_builtin_adds_no_memo(self):
+        interp = Interpreter()
+        before = len(interp.evaluator.memos)
+        for _ in range(50):
+            assert format_value(interp.eval_source("((flip -) [|1 2|]_i 5)")) == "[|4 3|]_i"
+        assert len(interp.evaluator.memos) == before
+
+    def test_a_tuple_that_raised_runs_again(self, monkeypatch):
+        calls = self.counting(monkeypatch, "div")
+        interp = Interpreter()
+        for n in (1, 2):
+            with pytest.raises(DivisionByZeroError):
+                interp.eval_source("(/ [|1 1|]_i [|0 0|]_j)")
+            assert len(calls) == n
+
+    def test_a_contract_fold_runs_at_every_pair(self, monkeypatch):
+        calls = self.counting(monkeypatch, "add")
+        interp = Interpreter()
+        for n in (2, 4):
+            assert interp.eval_source("(. [|0 0 0|]~i [|0 0 0|]_i)") == Integer(0)
+            assert calls == [(Integer(0), Integer(0))] * n
+
+
 MATRIX = "[|[|1 2|] [|3 4|]|]"
 NOT_AN_INTEGER = "is not an integer: numbers are exact, so write a rational as (/ -5 2)"
 
@@ -753,6 +805,8 @@ PINNED = [
     ("reader-exponent", "(+ 1e3 0)", (ParseError, f"line 1, col 4: '1e3' {NOT_AN_INTEGER}")),
     ("reader-slash", "(* 2 -5/2)", (ParseError, f"line 1, col 6: '-5/2' {NOT_AN_INTEGER}")),
     ("reader-still-names", "{- -x #t #f}", "{#<builtin:-> -x #t #f}"),
+    ("reader-true-is-a-boolean", "(if #t 1 2)", "1"),
+    ("reader-booleans-compare", "(eq? (eq? 1 1) #t)", "#t"),
     ("index-unbound", "q_1", (EvalError, "cannot index the unbound symbol q (line 1)")),
     ("index-without-label", "[|1 2|]_",
      (EvalError, "index without a label at line 1, col 8")),
